@@ -5,6 +5,7 @@
 
 #include "reap/common/rng.hpp"
 #include "reap/core/experiment.hpp"
+#include "reap/core/policy_impl.hpp"
 #include "reap/ecc/bch.hpp"
 #include "reap/ecc/hamming.hpp"
 #include "reap/ecc/secded.hpp"
@@ -140,8 +141,8 @@ void BM_CacheLookupHit(benchmark::State& state) {
   sim::SetAssocCache cache(
       {.name = "L1", .capacity_bytes = 32 * 1024, .ways = 4,
        .block_bytes = 64});
-  for (std::uint64_t a = 0; a < 32 * 1024; a += 64) cache.fill(a, false);
   sim::NullHooks hooks;
+  for (std::uint64_t a = 0; a < 32 * 1024; a += 64) cache.fill(a, false, hooks);
   std::uint64_t addr = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.read(addr, hooks));
@@ -241,14 +242,13 @@ void BM_HierarchySimulation(benchmark::State& state) {
   ctx.model = &model;
   ctx.ledger = &ledger;
   ctx.ways = 8;
-  const auto policy =
-      core::ReadPathPolicy::make(core::PolicyKind::reap, ctx);
-  hier.set_l2_hooks(policy.get());
   sim::TraceCpu cpu(src, hier);
-  cpu.run(100'000);  // warm
-  for (auto _ : state) {
-    cpu.run(1'000);
-  }
+  core::with_policy_impl(core::PolicyKind::reap, ctx, [&](auto& policy) {
+    cpu.run_vectorized(100'000, policy);  // warm
+    for (auto _ : state) {
+      cpu.run_vectorized(1'000, policy);
+    }
+  });
   state.SetItemsProcessed(state.iterations() * 1'000);
 }
 BENCHMARK(BM_HierarchySimulation);

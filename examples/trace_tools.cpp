@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "reap/common/cli.hpp"
-#include "reap/core/read_path.hpp"
+#include "reap/core/policy_impl.hpp"
 #include "reap/reliability/binomial.hpp"
 #include "reap/reliability/ledger.hpp"
 #include "reap/sim/cpu.hpp"
@@ -57,13 +57,13 @@ int main(int argc, char** argv) {
   ctx.model = &model;
   ctx.ledger = &ledger;
   ctx.ways = 8;
-  const auto policy =
-      core::ReadPathPolicy::make(core::PolicyKind::conventional_parallel, ctx);
 
   sim::MemoryHierarchy hier(sim::HierarchyConfig{});
-  hier.set_l2_hooks(policy.get());
   sim::TraceCpu cpu(*reader, hier);
-  cpu.run(ops);  // replays until the trace ends
+  // An instruction budget of `ops` replays until the trace ends.
+  core::with_policy_impl(
+      core::PolicyKind::conventional_parallel, ctx,
+      [&](auto& policy) { cpu.run_vectorized(ops, policy); });
 
   const auto s = hier.stats();
   std::printf(

@@ -92,10 +92,12 @@ int main(int argc, char** argv) {
   }
 
   if (args.has("list-workloads")) {
+    if (!common::refuse_unused(args)) return 1;
     for (const auto& name : trace::spec2006_names()) std::puts(name.c_str());
     return 0;
   }
   if (args.has("list-policies")) {
+    if (!common::refuse_unused(args)) return 1;
     for (const auto kind : core::all_policies())
       std::puts(core::to_string(kind).c_str());
     return 0;
@@ -103,8 +105,10 @@ int main(int argc, char** argv) {
 
   // Single-config mode: reproduce one emitted row.
   if (args.has("config")) {
+    const std::string config_text = args.get_string("config", "");
+    if (!common::refuse_unused(args)) return 1;
     std::string error;
-    const auto cfg = core::config_from_kv(args.get_string("config", ""), &error);
+    const auto cfg = core::config_from_kv(config_text, &error);
     if (!cfg) {
       std::fprintf(stderr, "bad --config: %s\n", error.c_str());
       return 1;
@@ -122,6 +126,32 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
+
+  // Every other flag of a run, read before anything acts on one, so an
+  // unknown flag is refused before any simulation or output.
+  const bool has_shard = args.has("shard");
+  const std::string shard_text = args.get_string("shard", "");
+  // Trace replay: 0 (default) = off, generate per point exactly as before.
+  const std::uint64_t trace_cache_mb = args.get_u64("trace-cache-mb", 0);
+  // Trace store: keys that resolve to a .reaptrace file in this directory
+  // replay the mmapped file instead of generating (see docs/campaign.md,
+  // "Trace store").
+  const std::string trace_dir = args.get_string("trace-dir", "");
+  const unsigned threads = static_cast<unsigned>(args.get_u64("threads", 0));
+  const bool dry_run = args.has("dry-run");
+  const std::string journal_path = args.get_string("journal", "");
+  const bool resume = args.has("resume");
+  const bool journal_stdout = args.has("journal-stdout");
+  const std::string skip_rows = args.get_string("skip-rows", "");
+  const bool want_csv = args.has("csv");
+  const std::string csv_path = args.get_string("csv", "");
+  const bool want_jsonl = args.has("jsonl");
+  const std::string jsonl_path = args.get_string("jsonl", "");
+  const bool quiet = args.has("quiet");
+  const std::string baseline_name =
+      args.get_string("baseline", "conventional");
+  if (!common::refuse_unused(args)) return 1;
+
   if (kv->empty()) return usage(argv[0]);
 
   const auto spec = campaign::CampaignSpec::from_kv(*kv, &error);
@@ -140,24 +170,16 @@ int main(int argc, char** argv) {
 
   // Shard selection: deterministic, disjoint coverage by index stripe.
   std::size_t shard_index = 0, shard_count = 1;
-  if (args.has("shard") &&
-      !common::parse_shard(args.get_string("shard", ""), shard_index,
-                           shard_count)) {
+  if (has_shard &&
+      !common::parse_shard(shard_text, shard_index, shard_count)) {
     std::fprintf(stderr, "bad --shard (want I/N with I < N): %s\n",
-                 args.get_string("shard", "").c_str());
+                 shard_text.c_str());
     return 1;
   }
   const bool sharded = shard_count > 1;
   const auto mine = campaign::shard(points, shard_index, shard_count);
 
-  // Trace replay: 0 (default) = off, generate per point exactly as before.
-  const std::uint64_t trace_cache_mb = args.get_u64("trace-cache-mb", 0);
-  // Trace store: keys that resolve to a .reaptrace file in this directory
-  // replay the mmapped file instead of generating (see docs/campaign.md,
-  // "Trace store").
-  const std::string trace_dir = args.get_string("trace-dir", "");
-
-  if (args.has("dry-run")) {
+  if (dry_run) {
     std::printf("campaign '%s': %zu points\n", spec->name.c_str(),
                 points.size());
     if (sharded)
@@ -169,7 +191,7 @@ int main(int argc, char** argv) {
     // thread is live at a time, plus whatever the cache retains.
     const auto plan = campaign::trace_plan(mine);
     campaign::RunnerOptions thread_probe;
-    thread_probe.threads = static_cast<unsigned>(args.get_u64("threads", 0));
+    thread_probe.threads = threads;
     const unsigned threads =
         campaign::CampaignRunner(thread_probe).effective_threads(mine.size());
     if (trace_cache_mb > 0)
@@ -205,15 +227,12 @@ int main(int argc, char** argv) {
 
   // Resume: load the journal, verify it describes this exact run, and
   // collect the rows that are already durable.
-  const std::string journal_path = args.get_string("journal", "");
-  const bool resume = args.has("resume");
   if (resume && journal_path.empty()) {
     std::fprintf(stderr, "--resume requires --journal=PATH\n");
     return 1;
   }
   // --journal-stdout: mirror the journal over stdout as CRC32C-framed
   // records for a dispatcher tailing this worker across a connection.
-  const bool journal_stdout = args.has("journal-stdout");
   if (journal_stdout && journal_path.empty()) {
     std::fprintf(stderr, "--journal-stdout requires --journal=PATH\n");
     return 1;
@@ -266,16 +285,12 @@ int main(int argc, char** argv) {
   // quarantine/bisect mechanism). A run is complete -- exit 0 -- when
   // every *non-skipped* row of its shard is journaled.
   std::unordered_set<std::string> skipped;
-  if (args.has("skip-rows")) {
-    const std::string list = args.get_string("skip-rows", "");
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-      const auto next = list.find(',', pos);
-      const auto end = next == std::string::npos ? list.size() : next;
-      if (end > pos) skipped.insert(list.substr(pos, end - pos));
-      if (next == std::string::npos) break;
-      pos = next + 1;
-    }
+  for (std::size_t pos = 0; pos <= skip_rows.size();) {
+    const auto next = skip_rows.find(',', pos);
+    const auto end = next == std::string::npos ? skip_rows.size() : next;
+    if (end > pos) skipped.insert(skip_rows.substr(pos, end - pos));
+    if (next == std::string::npos) break;
+    pos = next + 1;
   }
 
   std::unordered_set<std::string> completed;
@@ -334,22 +349,20 @@ int main(int argc, char** argv) {
   campaign::MultiSink sinks;
   std::unique_ptr<campaign::CsvResultSink> csv;
   std::unique_ptr<campaign::JsonlResultSink> jsonl;
-  if (args.has("csv")) {
-    csv = std::make_unique<campaign::CsvResultSink>(
-        args.get_string("csv", ""));
+  if (want_csv) {
+    csv = std::make_unique<campaign::CsvResultSink>(csv_path);
     if (!csv->ok()) {
       std::fprintf(stderr, "cannot write csv output: %s\n",
-                   args.get_string("csv", "").c_str());
+                   csv_path.c_str());
       return 1;
     }
     sinks.attach(csv.get());
   }
-  if (args.has("jsonl")) {
-    jsonl = std::make_unique<campaign::JsonlResultSink>(
-        args.get_string("jsonl", ""));
+  if (want_jsonl) {
+    jsonl = std::make_unique<campaign::JsonlResultSink>(jsonl_path);
     if (!jsonl->ok()) {
       std::fprintf(stderr, "cannot write jsonl output: %s\n",
-                   args.get_string("jsonl", "").c_str());
+                   jsonl_path.c_str());
       return 1;
     }
     sinks.attach(jsonl.get());
@@ -383,7 +396,7 @@ int main(int argc, char** argv) {
   std::vector<campaign::JournalRow> fresh;
   fresh.reserve(to_run.size());
   campaign::RunnerOptions opts;
-  opts.threads = static_cast<unsigned>(args.get_u64("threads", 0));
+  opts.threads = threads;
   opts.on_result = [&](const campaign::CampaignPoint& pt,
                        const core::ExperimentResult& r) {
     auto cells = campaign::result_cells(pt, r);
@@ -399,7 +412,6 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
   campaign::ProgressReporter progress;
-  const bool quiet = args.has("quiet");
   if (!quiet)
     opts.on_progress = [&progress](std::size_t d, std::size_t t) {
       progress(d, t);
@@ -475,8 +487,6 @@ int main(int argc, char** argv) {
   campaign::emit_rows(merged, sinks);
 
   // Aggregates.
-  const std::string baseline_name =
-      args.get_string("baseline", "conventional");
   if (baseline_name != "none" && sharded) {
     std::printf(
         "\n(shard %zu/%zu is a partial grid; merge the shard outputs with "
@@ -515,6 +525,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  common::warn_unused(args);
   return 0;
 }

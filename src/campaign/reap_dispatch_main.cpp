@@ -139,8 +139,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "note: %s\n", note.c_str());
   };
 
-  // Consume every real flag before --dry-run can exit, so the unused-flag
-  // typo warning never fires on flags the full run would honor.
+  // Consume every real flag before --dry-run can exit, so the unknown-flag
+  // refusal never fires on flags the full run would honor.
   const bool quiet = args.has("quiet");
   const bool want_csv = args.has("csv");
   const bool want_jsonl = args.has("jsonl");
@@ -149,8 +149,10 @@ int main(int argc, char** argv) {
   const auto jsonl_path = args.get_string("jsonl", "");
   const auto figures_dir = args.get_string("figures", "");
   const auto baseline_name = args.get_string("baseline", "conventional");
+  const bool dry_run = args.has("dry-run");
+  if (!common::refuse_unused(args)) return 1;
 
-  if (args.has("dry-run")) {
+  if (dry_run) {
     std::vector<campaign::CampaignPoint> points;
     try {
       points = campaign::expand(*spec);
@@ -198,7 +200,6 @@ int main(int argc, char** argv) {
                   i, plan->n_shards,
                   campaign::shard_size(points.size(), i, plan->n_shards),
                   opts.campaign_binary.c_str(), i, plan->n_shards);
-    common::warn_unused(args);
     return 0;
   }
 
@@ -216,8 +217,8 @@ int main(int argc, char** argv) {
                               : "giving up on this shard");
     };
   }
-  // Validate the post-run flags and warn about typos up front: a bad
-  // baseline name must not surface only after hours of simulation.
+  // Validate the post-run flags up front: a bad baseline name must not
+  // surface only after hours of simulation.
   std::optional<core::PolicyKind> baseline;
   if (baseline_name != "none") {
     baseline = core::policy_from_string(baseline_name);
@@ -232,7 +233,6 @@ int main(int argc, char** argv) {
                  "--baseline=none with it\n");
     return 1;
   }
-  common::warn_unused(args);
 
   campaign::Dispatcher dispatcher(*kv, opts);
   std::printf("dispatching campaign '%s' from %s\n", spec->name.c_str(),

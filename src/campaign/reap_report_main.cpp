@@ -35,6 +35,15 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (args.has("help") || args.positional().empty()) return usage(argv[0]);
+  const bool want_csv = args.has("merged-csv");
+  const bool want_jsonl = args.has("merged-jsonl");
+  const auto csv_path = args.get_string("merged-csv", "");
+  const auto jsonl_path = args.get_string("merged-jsonl", "");
+  const std::string baseline_name =
+      args.get_string("baseline", "conventional");
+  const bool want_figures = args.has("figures");
+  const auto figures_dir = args.get_string("figures", "");
+  if (!common::refuse_unused(args)) return 1;
 
   std::string error;
   std::vector<campaign::RowTable> tables;
@@ -78,7 +87,7 @@ int main(int argc, char** argv) {
   // with a different column set cannot be re-emitted (aggregation below
   // still works -- it looks columns up by name). Checked before any sink
   // opens: constructing one truncates its output file.
-  if ((args.has("merged-csv") || args.has("merged-jsonl")) &&
+  if ((want_csv || want_jsonl) &&
       merged->header != campaign::result_header()) {
     std::fprintf(stderr,
                  "cannot write merged rows: input columns differ from this "
@@ -95,19 +104,15 @@ int main(int argc, char** argv) {
     for (const auto& row : merged->rows) sink.add_cells(row);
     return true;
   };
-  if (args.has("merged-csv")) {
-    const auto path = args.get_string("merged-csv", "");
-    campaign::CsvResultSink csv(path);
-    if (!emit_merged(csv, csv.ok(), "csv", path)) return 1;
+  if (want_csv) {
+    campaign::CsvResultSink csv(csv_path);
+    if (!emit_merged(csv, csv.ok(), "csv", csv_path)) return 1;
   }
-  if (args.has("merged-jsonl")) {
-    const auto path = args.get_string("merged-jsonl", "");
-    campaign::JsonlResultSink jsonl(path);
-    if (!emit_merged(jsonl, jsonl.ok(), "jsonl", path)) return 1;
+  if (want_jsonl) {
+    campaign::JsonlResultSink jsonl(jsonl_path);
+    if (!emit_merged(jsonl, jsonl.ok(), "jsonl", jsonl_path)) return 1;
   }
 
-  const std::string baseline_name =
-      args.get_string("baseline", "conventional");
   std::optional<campaign::CampaignAggregates> agg;
   if (baseline_name != "none") {
     const auto baseline = core::policy_from_string(baseline_name);
@@ -126,15 +131,15 @@ int main(int argc, char** argv) {
     std::printf("%s", agg->render().c_str());
   }
 
-  if (args.has("figures")) {
+  if (want_figures) {
     if (!agg) {
       std::fprintf(stderr,
                    "--figures needs aggregates; do not pass "
                    "--baseline=none with it\n");
       return 1;
     }
-    const auto dir = args.get_string("figures", "");
-    const auto written = campaign::write_figure_data(*agg, dir, &error);
+    const auto written =
+        campaign::write_figure_data(*agg, figures_dir, &error);
     if (!written) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
@@ -143,6 +148,5 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "wrote %s\n", path.c_str());
   }
 
-  common::warn_unused(args);
   return 0;
 }

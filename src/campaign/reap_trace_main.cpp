@@ -65,7 +65,7 @@ int materialize(const common::CliArgs& args) {
     return 1;
   }
   const bool force = args.has("force");
-  common::warn_unused(args);
+  if (!common::refuse_unused(args)) return 1;
 
   std::vector<campaign::CampaignPoint> points;
   try {
@@ -130,7 +130,7 @@ int import_text(const common::CliArgs& args) {
   }
   std::string key = args.get_string("trace-key", "");
   if (key.empty()) key = std::filesystem::path(in).stem().string();
-  common::warn_unused(args);
+  if (!common::refuse_unused(args)) return 1;
 
   trace::TextTraceReader reader(in);
   if (!reader.ok()) {
@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
   if (mode_materialize) return materialize(args);
   if (mode_import) return import_text(args);
   const auto max_ops = args.get_u64("max-ops", UINT64_MAX);
-  common::warn_unused(args);
+  if (!common::refuse_unused(args)) return 1;
   if (mode_verify) return verify(args.positional());
   return dump(args.positional(), max_ops);
 }

@@ -84,9 +84,11 @@ bool parse_shard(const std::string& text, std::size_t& index,
   return true;
 }
 
-void warn_unused(const CliArgs& args) {
-  for (const auto& key : args.unconsumed())
-    std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
+bool refuse_unused(const CliArgs& args) {
+  const auto unused = args.unconsumed();
+  for (const auto& key : unused)
+    std::fprintf(stderr, "unknown flag --%s (see --help)\n", key.c_str());
+  return unused.empty();
 }
 
 }  // namespace reap::common

@@ -5,7 +5,7 @@
 //   auto n = args.get_u64("instructions", 5'000'000);
 //   auto wl = args.get_string("workload", "perlbench");
 //   if (args.has("help")) { ... }
-// Unknown keys are collected so binaries can warn about typos.
+// Unknown keys are collected so binaries can refuse typos.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +43,10 @@ class CliArgs {
 bool parse_shard(const std::string& text, std::size_t& index,
                  std::size_t& count);
 
-// Warns (to stderr) about every flag that was given but never queried --
-// the typo guard every CLI main ends with.
-void warn_unused(const CliArgs& args);
+// The typo guard every CLI main runs once it has queried all its flags
+// and before its first side effect: prints an error for every flag that
+// was given but never queried and returns false if there was one (the
+// caller exits 1 without simulating or opening any output).
+bool refuse_unused(const CliArgs& args);
 
 }  // namespace reap::common

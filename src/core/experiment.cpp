@@ -4,7 +4,6 @@
 
 #include "reap/common/assert.hpp"
 #include "reap/core/policy_impl.hpp"
-#include "reap/core/read_path.hpp"
 #include "reap/ecc/bch.hpp"
 #include "reap/ecc/secded.hpp"
 #include "reap/mtj/read_disturb.hpp"
@@ -64,9 +63,7 @@ nvsim::CacheGeometry l2_geometry(const ExperimentConfig& cfg) {
   return geom;
 }
 
-// Everything an experiment wires together except the policy object, shared
-// by the static- and virtual-dispatch drivers so the two runs differ only
-// in how the policy is invoked.
+// Everything an experiment wires together except the policy object.
 struct ExperimentRig {
   std::unique_ptr<ecc::Code> line_code;
   double p_rd;
@@ -149,30 +146,15 @@ void check_config(const ExperimentConfig& cfg) {
   REAP_EXPECTS(!cfg.workload.patterns.empty());
 }
 
-}  // namespace
-
-namespace {
-
-// `vectorized` picks the drive loop: TraceCpu::run_vectorized (batch
-// pre-decode + prefetch + pre-decoded L2 lookups) or the plain batched
-// run. Both produce byte-identical results; the branch is per run, not
-// per op.
-ExperimentResult run_static(const ExperimentConfig& cfg, ExperimentRig& rig,
-                            bool vectorized = true) {
+ExperimentResult run_static(const ExperimentConfig& cfg, ExperimentRig& rig) {
   return with_policy_impl(cfg.policy, rig.ctx, [&](auto& policy) {
     // Warmup: populate caches, then reset all accounting.
     if (cfg.warmup_instructions > 0) {
-      if (vectorized)
-        rig.cpu.run_vectorized(cfg.warmup_instructions, policy);
-      else
-        rig.cpu.run(cfg.warmup_instructions, policy);
+      rig.cpu.run_vectorized(cfg.warmup_instructions, policy);
       rig.reset_accounting();
       policy.reset_events();
     }
-    if (vectorized)
-      rig.cpu.run_vectorized(cfg.instructions, policy);
-    else
-      rig.cpu.run(cfg.instructions, policy);
+    rig.cpu.run_vectorized(cfg.instructions, policy);
     return collect(cfg, rig, policy);
   });
 }
@@ -185,31 +167,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   return run_static(cfg, rig);
 }
 
-ExperimentResult run_experiment_basic(const ExperimentConfig& cfg) {
-  check_config(cfg);
-  ExperimentRig rig(cfg);
-  return run_static(cfg, rig, /*vectorized=*/false);
-}
-
 ExperimentResult run_experiment_replay(const ExperimentConfig& cfg,
                                        trace::TraceSource& source) {
   check_config(cfg);
   ExperimentRig rig(cfg, &source);
   return run_static(cfg, rig);
-}
-
-ExperimentResult run_experiment_virtual(const ExperimentConfig& cfg) {
-  check_config(cfg);
-  ExperimentRig rig(cfg);
-  const auto policy = ReadPathPolicy::make(cfg.policy, rig.ctx);
-  rig.hier.set_l2_hooks(policy.get());
-  if (cfg.warmup_instructions > 0) {
-    rig.cpu.run(cfg.warmup_instructions);
-    rig.reset_accounting();
-    policy->reset_events();
-  }
-  rig.cpu.run(cfg.instructions);
-  return collect(cfg, rig, *policy);
 }
 
 PolicyComparison compare_policies(const ExperimentConfig& cfg,

@@ -68,21 +68,14 @@ struct ExperimentResult {
 
 // Runs one experiment end to end. Dispatch is static: the simulator inner
 // loop (trace batch -> L1 -> L2 -> policy) is instantiated per PolicyKind
-// with no per-access virtual calls. The drive loop is the vectorized one
-// (TraceCpu::run_vectorized): batch address pre-decode, software prefetch
+// with no per-access virtual calls. The drive loop is
+// TraceCpu::run_vectorized: batch address pre-decode, software prefetch
 // of upcoming set columns, SIMD set scans where the build enables them
-// (REAP_SIMD) -- all byte-identical to the unvectorized loop below.
+// (REAP_SIMD). Results are pinned to recorded golden values by
+// tests/core/test_static_dispatch.cpp.
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
-// The same static-dispatch engine driven by the plain batched loop
-// (TraceCpu::run(n, policy)): no pre-decode, no prefetch, scalar per-way
-// walks. Kept as bench_e2e's E2E/static baseline -- the simd/static ratio
-// isolates this PR's vectorization win inside one binary -- and as a
-// golden-equivalence midpoint (pinned byte-identical to run_experiment by
-// tests/core/test_static_dispatch.cpp).
-ExperimentResult run_experiment_basic(const ExperimentConfig& cfg);
-
-// Same static-dispatch drive loop, but ops are pulled from `source`
+// Same drive loop, but ops are pulled from `source`
 // instead of a freshly constructed WorkloadTraceSource(cfg.workload).
 // `source` must yield the byte-identical op sequence that generator would
 // (e.g. a trace::ReplayTraceSource over an arena materialized from it);
@@ -91,14 +84,6 @@ ExperimentResult run_experiment_basic(const ExperimentConfig& cfg);
 // this: one materialized trace serves every point of a paired comparison.
 ExperimentResult run_experiment_replay(const ExperimentConfig& cfg,
                                        trace::TraceSource& source);
-
-// Reference implementation driving the same wiring through the runtime
-// interfaces (per-op virtual TraceSource::next, virtual L2PolicyHooks).
-// Kept as the equivalence baseline: for any config it must produce results
-// byte-identical to run_experiment (pinned by
-// tests/core/test_static_dispatch.cpp) and is what bench_e2e reports the
-// static path's speedup against.
-ExperimentResult run_experiment_virtual(const ExperimentConfig& cfg);
 
 // Runs `base` and `other` on the same workload/seed and reports the
 // headline comparisons the paper's figures plot.

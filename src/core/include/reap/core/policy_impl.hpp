@@ -1,7 +1,6 @@
 // Concrete, non-virtual read-path policy implementations: the compile-time
 // dispatch targets the experiment engine instantiates the cache/hierarchy
-// access path over. See read_path.hpp for the policy taxonomy and the
-// runtime-dispatch adapter that wraps these for tests.
+// access path over. See read_path.hpp for the policy taxonomy.
 //
 // Each impl has the sim hooks shape (on_read_lookup / on_write_lookup /
 // on_fill / on_evict) plus events(). Shared write/fill/evict bookkeeping

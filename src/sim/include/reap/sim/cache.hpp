@@ -24,12 +24,9 @@
 // tags/rel, simd::kLruPad for lru). The layout is identical in scalar
 // builds; only the kernels switch on REAP_SIMD.
 //
-// Dispatch is compile-time: the access paths are templates over a Hooks
-// type with the L2PolicyHooks shape, so a concrete policy inlines into the
-// loop. The runtime L2PolicyHooks interface survives as VirtualHooks, a
-// thin adapter the untemplated convenience overloads route through — tests
-// and exploratory code keep injecting observers dynamically while the
-// campaign engine pays no virtual call per access.
+// Dispatch is compile-time: every access path is a template over a hooks
+// type (the shape NullHooks spells out below), so a concrete policy
+// inlines into the loop and no access pays a virtual call.
 #pragma once
 
 #include <cstdint>
@@ -120,56 +117,26 @@ struct CacheConfig {
   std::size_t sets() const { return capacity_bytes / (ways * block_bytes); }
 };
 
-// Observer for the read path; see core/read_path.hpp for implementations.
-// Concrete (non-virtual) hook types with the same shape plug into the
-// templated access paths directly; this interface is the runtime-dispatch
-// fallback.
-class L2PolicyHooks {
- public:
-  virtual ~L2PolicyHooks() = default;
-
+// The hooks shape every access path is templated over, as a type that
+// does nothing: the L1 instantiation, and the hierarchy walk with no
+// policy attached. The read-path policies (core/policy_impl.hpp) are the
+// L2 instantiations.
+struct NullHooks {
   // A read lookup touched this set (parallel-access caches physically read
   // every way). The view spans all k ways, valid or not; hit_way is the
   // matching index or -1 on a miss.
-  virtual void on_read_lookup(CacheSetView set, int hit_way) = 0;
+  void on_read_lookup(CacheSetView, int) {}
 
   // A write lookup (L1 writeback / store update) touched this set; on a hit
   // the line is about to be rewritten. Write lookups compare tags but do
   // not read the data ways, so they cause no concealed reads.
-  virtual void on_write_lookup(CacheSetView set, int hit_way) = 0;
-
-  // `rel` belongs to a line that was just filled (ones already set).
-  virtual void on_fill(LineRel& rel) = 0;
-
-  // `rel` belongs to a (still valid) line about to be evicted.
-  virtual void on_evict(LineRel& rel, bool dirty) = 0;
-};
-
-// Static hooks that do nothing: the L1 instantiation of the access paths.
-struct NullHooks {
-  void on_read_lookup(CacheSetView, int) {}
   void on_write_lookup(CacheSetView, int) {}
+
+  // The line was just filled (ones already set).
   void on_fill(LineRel&) {}
+
+  // The (still valid) line is about to be evicted.
   void on_evict(LineRel&, bool) {}
-};
-
-// Adapter presenting an optional runtime observer through the static hooks
-// shape; the untemplated access overloads route through it.
-struct VirtualHooks {
-  L2PolicyHooks* hooks = nullptr;
-
-  void on_read_lookup(CacheSetView set, int hit_way) {
-    if (hooks) hooks->on_read_lookup(set, hit_way);
-  }
-  void on_write_lookup(CacheSetView set, int hit_way) {
-    if (hooks) hooks->on_write_lookup(set, hit_way);
-  }
-  void on_fill(LineRel& rel) {
-    if (hooks) hooks->on_fill(rel);
-  }
-  void on_evict(LineRel& rel, bool dirty) {
-    if (hooks) hooks->on_evict(rel, dirty);
-  }
 };
 
 // Ones-count source for filled lines. A concrete type (not a type-erased
@@ -236,11 +203,6 @@ class SetAssocCache {
   const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  // Runtime policy observer; may be null (L1 caches). Used only by the
-  // untemplated access overloads.
-  void set_hooks(L2PolicyHooks* hooks) { hooks_ = hooks; }
-  L2PolicyHooks* hooks() const { return hooks_; }
-
   // Ones-count provider for filled/rewritten lines; default keeps ones at
   // half the block bits.
   void set_ones_provider(OnesProvider provider) { ones_ = provider; }
@@ -252,27 +214,19 @@ class SetAssocCache {
   };
 
   // Read lookup. Returns hit; does NOT fill on miss (caller decides).
-  //
-  // The lookup paths are templated on a kernel flavor as well as the hooks
-  // type. kVector=true (the default) scans with the build's wide kernels;
-  // kVector=false keeps the pre-vectorization scalar walks. The two
-  // flavors are value-identical (pinned by tests/sim/test_simd.cpp); the
-  // scalar flavor exists so the plain batched drive loop -- bench_e2e's
-  // E2E/static baseline -- stays a faithful reconstruction of the
-  // pre-vectorization engine that the E2E/simd series is gated against.
-  template <bool kVector = true, class Hooks>
+  template <class Hooks>
   bool read(std::uint64_t addr, Hooks& hooks) {
-    return read_pre<kVector>(set_of(addr), tagv_of(addr), hooks);
+    return read_pre(set_of(addr), tagv_of(addr), hooks);
   }
 
   // Pre-decoded read lookup: `set`/`tagv` must equal set_of(addr)/
   // tagv_of(addr) for the looked-up address (the batch pre-decode pass
   // hoists that derivation out of the per-access path).
-  template <bool kVector = true, class Hooks>
+  template <class Hooks>
   bool read_pre(std::size_t set, std::uint64_t tagv, Hooks& hooks) {
     ++stats_.read_lookups;
-    const int way = find_way<kVector>(set, tagv);
-    hooks.on_read_lookup(view_of<kVector>(set), way);
+    const int way = find_way(set, tagv);
+    hooks.on_read_lookup(view_of(set), way);
     if (way < 0) return false;
     ++stats_.read_hits;
     touch(set * stride_ + static_cast<std::size_t>(way));
@@ -284,17 +238,17 @@ class SetAssocCache {
   // are address-deterministic (the OnesProvider contract), so re-deriving
   // it for the same line is the same value -- the hot path skips the
   // probe. Returns hit.
-  template <bool kVector = true, class Hooks>
+  template <class Hooks>
   bool write(std::uint64_t addr, Hooks& hooks) {
-    return write_pre<kVector>(set_of(addr), tagv_of(addr), hooks);
+    return write_pre(set_of(addr), tagv_of(addr), hooks);
   }
 
   // Pre-decoded write lookup; same contract as read_pre.
-  template <bool kVector = true, class Hooks>
+  template <class Hooks>
   bool write_pre(std::size_t set, std::uint64_t tagv, Hooks& hooks) {
     ++stats_.write_lookups;
-    const int way = find_way<kVector>(set, tagv);
-    hooks.on_write_lookup(view_of<kVector>(set), way);
+    const int way = find_way(set, tagv);
+    hooks.on_write_lookup(view_of(set), way);
     if (way < 0) return false;
     ++stats_.write_hits;
     const std::size_t idx = set * stride_ + static_cast<std::size_t>(way);
@@ -306,15 +260,14 @@ class SetAssocCache {
 
   // Installs addr's block, evicting if needed; returns the evicted victim.
   // Precondition (validated by tests, not re-scanned here — this is the
-  // hot miss path): addr's block is not already present. kVector flavors
-  // the LRU victim scan, same contract as the lookup paths.
-  template <bool kVector = true, class Hooks>
+  // hot miss path): addr's block is not already present.
+  template <class Hooks>
   Evicted fill(std::uint64_t addr, bool dirty, Hooks& hooks) {
     const std::size_t set = set_of(addr);
     const std::uint64_t tag = tag_of(addr);
 
     Evicted ev;
-    const std::size_t w = victim_way<kVector>(set);
+    const std::size_t w = victim_way(set);
     const std::size_t idx = set * stride_ + w;
     LineState& st = state_[idx];
     if (st.valid) {
@@ -335,20 +288,6 @@ class SetAssocCache {
     ++stats_.fills;
     hooks.on_fill(rel_[idx]);
     return ev;
-  }
-
-  // Untemplated overloads: dispatch through the configured runtime hooks.
-  bool read(std::uint64_t addr) {
-    VirtualHooks h{hooks_};
-    return read(addr, h);
-  }
-  bool write(std::uint64_t addr) {
-    VirtualHooks h{hooks_};
-    return write(addr, h);
-  }
-  Evicted fill(std::uint64_t addr, bool dirty) {
-    VirtualHooks h{hooks_};
-    return fill(addr, dirty, h);
   }
 
   // True if addr's block is present (no stats/hook side effects).
@@ -410,39 +349,26 @@ class SetAssocCache {
   void prefetch_ones(std::uint64_t addr) const { ones_.prefetch(addr); }
 
  private:
-  // The view's padded flag doubles as the accumulate_valid routing switch:
-  // scalar-flavor lookups hand the policies a view that accumulates with
-  // the scalar walk, vector-flavor lookups one that uses the wide kernel.
-  // (The columns themselves are padded either way.)
-  template <bool kVector = true>
   CacheSetView view_of(std::size_t set) {
     const std::size_t base = set * stride_;
-    return {&tags_[base], &rel_[base], cfg_.ways, /*padded=*/kVector};
+    return {&tags_[base], &rel_[base], cfg_.ways, /*padded=*/true};
   }
 
-  template <bool kVector = true>
   int find_way(std::size_t set, std::uint64_t tagv) const {
-    if constexpr (kVector)
-      return simd::find_way(&tags_[set * stride_], cfg_.ways, tagv);
-    else
-      return simd::find_way_scalar(&tags_[set * stride_], cfg_.ways, tagv);
+    return simd::find_way(&tags_[set * stride_], cfg_.ways, tagv);
   }
 
   // Victim selection. LRU is the hot case -- a single min-stamp scan over
-  // the set's lru column -- and is the flavored one. lru/fifo need no
+  // the set's lru column. lru/fifo need no
   // separate invalid-ways pass: an invalid line's stamps are 0 and every
   // valid line's are >= 1 (clock_ pre-increments), so the min-stamp scan
   // already prefers the first invalid way — the same victim the two-pass
   // form picked. random/LER fall through to the cold helper.
-  template <bool kVector = true>
   std::size_t victim_way(std::size_t set) {
     const std::size_t base = set * stride_;
     switch (cfg_.replacement) {
       case ReplacementKind::lru:
-        if constexpr (kVector)
-          return simd::victim_min(&lru_[base], cfg_.ways);
-        else
-          return simd::victim_min_scalar(&lru_[base], cfg_.ways);
+        return simd::victim_min(&lru_[base], cfg_.ways);
       case ReplacementKind::fifo: {
         const LineState* st = &state_[base];
         std::size_t v = 0;
@@ -470,7 +396,6 @@ class SetAssocCache {
   simd::AlignedVec<std::uint64_t> lru_;   // hot lru-stamp column
   std::vector<LineState> state_;          // cold valid/dirty/fifo column
   CacheStats stats_;
-  L2PolicyHooks* hooks_ = nullptr;
   OnesProvider ones_;
   std::uint32_t default_ones_ = 0;
   std::uint64_t clock_ = 0;

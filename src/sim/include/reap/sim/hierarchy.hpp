@@ -9,9 +9,8 @@
 //
 // The access paths are templates over the L2 hooks type: the experiment
 // engine instantiates them with a concrete policy (no virtual dispatch per
-// access), while the untemplated overloads keep the runtime-observer
-// behaviour by routing through VirtualHooks. L1 accesses always use
-// NullHooks — policies observe the L2 only.
+// access). L1 accesses always use NullHooks — policies observe the L2
+// only.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +59,6 @@ class MemoryHierarchy {
  public:
   MemoryHierarchy(HierarchyConfig cfg, std::uint64_t seed = 1);
 
-  // Runtime observer for the L2 read path; used by the untemplated access
-  // overloads.
-  void set_l2_hooks(L2PolicyHooks* hooks) { l2_.set_hooks(hooks); }
-
   // Ones-count provider for L2 lines (the data-value model).
   void set_l2_ones_provider(OnesProvider provider) {
     l2_.set_ones_provider(provider);
@@ -72,42 +67,16 @@ class MemoryHierarchy {
   // Override the L2 hit latency (read-path policies differ here).
   void set_l2_hit_cycles(std::uint32_t cycles) { cfg_.l2_hit_cycles = cycles; }
 
-  // Each returns stall cycles beyond the 1-cycle pipelined issue. The
-  // templated forms drive the L2 with a concrete policy; the untemplated
-  // forms use the hooks configured via set_l2_hooks.
-  //
-  // The un-hinted forms run the caches' scalar kernel flavor
-  // (cache.hpp): they serve the legacy per-op loop and the plain batched
-  // loop, which together are the pre-vectorization reference engine the
-  // vectorized path is benchmarked against. The hinted forms (below) are
-  // the production path and use the wide kernels. Both flavors are
-  // value-identical.
+  // Each returns stall cycles beyond the 1-cycle pipelined issue and
+  // drives the L2 with `l2_hooks`. The hinted forms take the op's L2
+  // coordinates from the batch pre-decode (TraceCpu::run_vectorized); the
+  // un-hinted forms derive the hint from the address and forward.
   template <class L2Hooks>
-  std::uint64_t inst_fetch(std::uint64_t pc, L2Hooks& l2_hooks) {
+  std::uint64_t inst_fetch(std::uint64_t pc, L2Hooks& l2_hooks, L2Hint hint) {
     // Fetch-buffer model: sequential fetches within the current block do
     // not re-access L1I (a real front end reads a whole fetch group at
     // once). Shift, not divide: this runs once per instruction, and the
     // block size is a power of two (the cache constructor enforces it).
-    const std::uint64_t block = pc >> fetch_block_bits_;
-    if (block == last_fetch_block_) return 0;
-    last_fetch_block_ = block;
-    return l1_access<false>(l1i_, pc, /*is_store=*/false, l2_hooks);
-  }
-
-  template <class L2Hooks>
-  std::uint64_t load(std::uint64_t addr, L2Hooks& l2_hooks) {
-    return l1_access<false>(l1d_, addr, /*is_store=*/false, l2_hooks);
-  }
-
-  template <class L2Hooks>
-  std::uint64_t store(std::uint64_t addr, L2Hooks& l2_hooks) {
-    return l1_access<false>(l1d_, addr, /*is_store=*/true, l2_hooks);
-  }
-
-  // Pre-decoded forms: identical behaviour, but an L1 miss looks the L2
-  // up through the hint instead of re-deriving set/tag from the address.
-  template <class L2Hooks>
-  std::uint64_t inst_fetch(std::uint64_t pc, L2Hooks& l2_hooks, L2Hint hint) {
     const std::uint64_t block = pc >> fetch_block_bits_;
     if (block == last_fetch_block_) return 0;
     last_fetch_block_ = block;
@@ -124,6 +93,19 @@ class MemoryHierarchy {
     return l1_access(l1d_, addr, /*is_store=*/true, l2_hooks, hint);
   }
 
+  template <class L2Hooks>
+  std::uint64_t inst_fetch(std::uint64_t pc, L2Hooks& l2_hooks) {
+    return inst_fetch(pc, l2_hooks, hint_of(pc));
+  }
+  template <class L2Hooks>
+  std::uint64_t load(std::uint64_t addr, L2Hooks& l2_hooks) {
+    return load(addr, l2_hooks, hint_of(addr));
+  }
+  template <class L2Hooks>
+  std::uint64_t store(std::uint64_t addr, L2Hooks& l2_hooks) {
+    return store(addr, l2_hooks, hint_of(addr));
+  }
+
   // Prefetch the L2-side state an upcoming op may touch (from the batch
   // pre-decode): the set's metadata columns and the ones-memo slot the
   // op's block maps to (the fill path probes it on every L2 miss and
@@ -131,19 +113,6 @@ class MemoryHierarchy {
   void prefetch_l2(std::size_t set, std::uint64_t addr) const {
     l2_.prefetch_set(set);
     l2_.prefetch_ones(addr);
-  }
-
-  std::uint64_t inst_fetch(std::uint64_t pc) {
-    VirtualHooks h{l2_.hooks()};
-    return inst_fetch(pc, h);
-  }
-  std::uint64_t load(std::uint64_t addr) {
-    VirtualHooks h{l2_.hooks()};
-    return load(addr, h);
-  }
-  std::uint64_t store(std::uint64_t addr) {
-    VirtualHooks h{l2_.hooks()};
-    return store(addr, h);
   }
 
   HierarchyStats stats() const;
@@ -156,31 +125,12 @@ class MemoryHierarchy {
   const HierarchyConfig& config() const { return cfg_; }
 
  private:
-  // L1 access; on miss goes to L2. Returns stall cycles. kVector picks
-  // the cache kernel flavor for every lookup on the path.
-  template <bool kVector, class L2Hooks>
-  std::uint64_t l1_access(SetAssocCache& l1, std::uint64_t addr, bool is_store,
-                          L2Hooks& l2_hooks) {
-    NullHooks l1_hooks;
-    if (is_store ? l1.write<kVector>(addr, l1_hooks)
-                 : l1.read<kVector>(addr, l1_hooks))
-      return 0;
-
-    // L1 miss: fetch the block from L2 (write-allocate on stores too).
-    const std::uint64_t stall = l2_read<kVector>(addr, l2_hooks);
-    const SetAssocCache::Evicted ev =
-        l1.fill<kVector>(addr, /*dirty=*/is_store, l1_hooks);
-    if (ev.any && ev.dirty) l2_write<kVector>(ev.addr, l2_hooks);
-    if (is_store) {
-      // The allocating store dirties the freshly-filled line.
-      l1.write<kVector>(addr, l1_hooks);
-    }
-    return stall;
+  L2Hint hint_of(std::uint64_t addr) const {
+    return {static_cast<std::uint32_t>(l2_.set_of(addr)), l2_.tagv_of(addr)};
   }
 
-  // Hinted variant: the demand-path L2 lookup goes through the
-  // pre-decoded coordinates; everything else (fills, writebacks, the L1
-  // walk) is the exact same code, on the vector kernel flavor.
+  // L1 access; on miss goes to L2 (the demand lookup through the
+  // pre-decoded hint). Returns stall cycles.
   template <class L2Hooks>
   std::uint64_t l1_access(SetAssocCache& l1, std::uint64_t addr, bool is_store,
                           L2Hooks& l2_hooks, L2Hint hint) {
@@ -188,28 +138,19 @@ class MemoryHierarchy {
     if (is_store ? l1.write(addr, l1_hooks) : l1.read(addr, l1_hooks))
       return 0;
 
+    // L1 miss: fetch the block from L2 (write-allocate on stores too).
     const std::uint64_t stall = l2_read(addr, l2_hooks, hint);
     const SetAssocCache::Evicted ev =
         l1.fill(addr, /*dirty=*/is_store, l1_hooks);
-    if (ev.any && ev.dirty) l2_write<true>(ev.addr, l2_hooks);
+    if (ev.any && ev.dirty) l2_write(ev.addr, l2_hooks);
     if (is_store) {
+      // The allocating store dirties the freshly-filled line.
       l1.write(addr, l1_hooks);
     }
     return stall;
   }
 
   // L2 read request (from an L1 fill). Returns stall cycles.
-  template <bool kVector, class L2Hooks>
-  std::uint64_t l2_read(std::uint64_t addr, L2Hooks& l2_hooks) {
-    if (l2_.read<kVector>(addr, l2_hooks)) return cfg_.l2_hit_cycles;
-
-    ++mem_reads_;
-    const SetAssocCache::Evicted ev =
-        l2_.fill<kVector>(addr, /*dirty=*/false, l2_hooks);
-    if (ev.any && ev.dirty) ++mem_writes_;
-    return cfg_.mem_cycles;
-  }
-
   template <class L2Hooks>
   std::uint64_t l2_read(std::uint64_t addr, L2Hooks& l2_hooks, L2Hint hint) {
     if (l2_.read_pre(hint.set, hint.tagv, l2_hooks)) return cfg_.l2_hit_cycles;
@@ -220,16 +161,16 @@ class MemoryHierarchy {
     return cfg_.mem_cycles;
   }
 
-  // L2 write request (L1 dirty writeback). Off the critical path.
-  template <bool kVector, class L2Hooks>
+  // L2 write request (L1 dirty writeback). Off the critical path; its
+  // address is the victim's, not the op's, so it derives its own set/tag.
+  template <class L2Hooks>
   void l2_write(std::uint64_t addr, L2Hooks& l2_hooks) {
-    if (l2_.write<kVector>(addr, l2_hooks)) return;
+    if (l2_.write(addr, l2_hooks)) return;
 
     // Write-allocate: fetch, install dirty. (The fetch is a memory read,
     // not an L2 data-array read, so it does not disturb resident lines.)
     ++mem_reads_;
-    const SetAssocCache::Evicted ev =
-        l2_.fill<kVector>(addr, /*dirty=*/true, l2_hooks);
+    const SetAssocCache::Evicted ev = l2_.fill(addr, /*dirty=*/true, l2_hooks);
     if (ev.any && ev.dirty) ++mem_writes_;
   }
 

@@ -1,13 +1,10 @@
-// Golden-equivalence test for the devirtualized engine: the static-dispatch
-// path (run_experiment: batched trace pulls, policy inlined into the cache
-// access path, vectorized drive loop) must produce results byte-identical
-// to the runtime-dispatch reference path (run_experiment_virtual: per-op
-// virtual TraceSource::next, virtual L2PolicyHooks) for every PolicyKind --
-// and to run_experiment_basic, the same engine on the plain batched loop
-// with no pre-decode/prefetch/SIMD. Any divergence means a refactor changed
-// an observable result, not just its speed. The suite runs unchanged under
-// REAP_SIMD=OFF (the CI scalar-fallback leg), so the chain virtual == basic
-// == vectorized is pinned on both kernel flavours.
+// Golden test for the simulation engine: run_experiment (batched trace
+// pulls, policy inlined into the cache access path, vectorized drive loop)
+// must reproduce a table of recorded results bit for bit, for every
+// PolicyKind, and run_experiment_replay must be byte-identical to it. Any
+// divergence means a change moved an observable result, not just its
+// speed. The suite runs unchanged under REAP_SIMD=OFF (the CI
+// scalar-fallback leg), so the table is pinned on both builds.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -32,8 +29,8 @@ ExperimentConfig small_cfg(const std::string& workload, PolicyKind policy) {
 }
 
 // Exact comparison on every stat the result carries. EXPECT_EQ on doubles
-// is deliberate: both paths must run the same arithmetic in the same
-// order, so even the last ulp has to match.
+// is deliberate: both runs must do the same arithmetic in the same order,
+// so even the last ulp has to match.
 void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.workload, b.workload);
   EXPECT_EQ(a.policy, b.policy);
@@ -93,13 +90,15 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
 
 // ------------------------------------------------------------ golden table
 //
-// Recorded ExperimentResults for the configs the cross-engine tests below
-// run (small_cfg plus the listed overrides), captured while
-// run_experiment, run_experiment_basic and run_experiment_virtual were
-// still byte-identical to one another. Doubles are hex-float literals, so
-// the pin is bit-exact. The table was captured with g++ 12.2 (x86-64,
-// RelWithDebInfo, REAP_SIMD=ON with AVX2) and must hold unchanged on the
-// REAP_SIMD=OFF build: no kernel flavour may move a result.
+// Recorded ExperimentResults for ten configs (small_cfg plus the listed
+// overrides). They were captured from three engines that agreed to the
+// last bit: run_experiment, a plain batched loop with scalar kernels, and
+// a per-op loop dispatching the policy through a virtual interface. The
+// last two were then deleted; this table keeps their pin. Doubles are
+// hex-float literals, so the pin is bit-exact. Captured with g++ 12.2
+// (x86-64, RelWithDebInfo, REAP_SIMD=ON with AVX2); it must hold
+// unchanged on the REAP_SIMD=OFF build: no kernel choice may move a
+// result.
 struct GoldenBin {
   std::uint64_t lo;
   std::uint64_t count;
@@ -483,6 +482,15 @@ const std::vector<Golden>& golden_table() {
   return table;
 }
 
+const Golden& golden(const std::string& workload, PolicyKind policy) {
+  for (const Golden& g : golden_table()) {
+    if (g.workload == workload && g.policy == policy) return g;
+  }
+  ADD_FAILURE() << "no golden entry for " << workload << " x "
+                << to_string(policy);
+  return golden_table().front();
+}
+
 ExperimentConfig config_of(const Golden& g) {
   auto cfg = small_cfg(g.workload, g.policy);
   cfg.warmup_instructions = g.warmup_instructions;
@@ -548,79 +556,33 @@ void expect_golden(const ExperimentResult& r, const Golden& g) {
   EXPECT_EQ(r.p_rd, g.p_rd);
 }
 
-// The recording check: every engine reproduces every table entry.
-TEST(StaticDispatch, GoldenTableMatchesEveryEngine) {
-  ASSERT_EQ(golden_table().size(), 10u);
-  for (const Golden& g : golden_table()) {
-    const auto cfg = config_of(g);
-    expect_golden(run_experiment(cfg), g);
-    expect_golden(run_experiment_basic(cfg), g);
-    expect_golden(run_experiment_virtual(cfg), g);
-  }
+void expect_matches_golden(const std::string& workload, PolicyKind policy) {
+  const Golden& g = golden(workload, policy);
+  expect_golden(run_experiment(config_of(g)), g);
 }
 
-TEST(StaticDispatch, IdenticalToVirtualPathForEveryPolicy) {
-  for (const PolicyKind kind : all_policies()) {
-    SCOPED_TRACE(to_string(kind));
-    const auto cfg = small_cfg("perlbench", kind);
-    expect_identical(run_experiment(cfg), run_experiment_virtual(cfg));
-  }
+TEST(StaticDispatch, IdenticalToGoldenForEveryPolicy) {
+  for (const PolicyKind kind : all_policies())
+    expect_matches_golden("perlbench", kind);
 }
 
 TEST(StaticDispatch, IdenticalOnHotSetWorkload) {
-  // h264ref drives the deep concealed-read tails (large-N ledger entries),
-  // exercising the accumulation bookkeeping both paths must agree on.
-  for (const PolicyKind kind :
-       {PolicyKind::conventional_parallel, PolicyKind::reap}) {
-    SCOPED_TRACE(to_string(kind));
-    const auto cfg = small_cfg("h264ref", kind);
-    expect_identical(run_experiment(cfg), run_experiment_virtual(cfg));
-  }
+  // h264ref drives the deep concealed-read tails (large-N ledger entries)
+  // and maximizes accumulate_valid traffic on its hot sets.
+  expect_matches_golden("h264ref", PolicyKind::conventional_parallel);
+  expect_matches_golden("h264ref", PolicyKind::reap);
 }
 
 TEST(StaticDispatch, IdenticalWithExtensionsEnabled) {
-  auto cfg = small_cfg("gcc", PolicyKind::scrub_piggyback);
-  cfg.scrub_every = 16;
-  cfg.check_on_dirty_eviction = true;
-  expect_identical(run_experiment(cfg), run_experiment_virtual(cfg));
+  // gcc x scrub with scrub_every = 16 and check_on_dirty_eviction.
+  expect_matches_golden("gcc", PolicyKind::scrub_piggyback);
 }
 
 TEST(StaticDispatch, IdenticalWithoutWarmup) {
-  // No warmup means the batched path's buffered-ops boundary handling is
-  // exercised from a cold start.
-  auto cfg = small_cfg("mcf", PolicyKind::reap);
-  cfg.warmup_instructions = 0;
-  expect_identical(run_experiment(cfg), run_experiment_virtual(cfg));
-}
-
-// Vectorization equivalence: the vectorized drive loop (batch pre-decode,
-// prefetch, SIMD set scans where built) must be byte-identical to the
-// plain batched loop for every policy. This is the gate the perf work
-// stands behind: run_experiment may only be faster than
-// run_experiment_basic, never different.
-TEST(StaticDispatch, VectorizedIdenticalToBasicForEveryPolicy) {
-  for (const PolicyKind kind : all_policies()) {
-    SCOPED_TRACE(to_string(kind));
-    const auto cfg = small_cfg("perlbench", kind);
-    expect_identical(run_experiment(cfg), run_experiment_basic(cfg));
-  }
-}
-
-TEST(StaticDispatch, VectorizedIdenticalToBasicOnHotSetWorkload) {
-  // h264ref's hot sets maximize accumulate_valid traffic, the loop the
-  // vector kernel replaced.
-  for (const PolicyKind kind :
-       {PolicyKind::conventional_parallel, PolicyKind::reap}) {
-    SCOPED_TRACE(to_string(kind));
-    const auto cfg = small_cfg("h264ref", kind);
-    expect_identical(run_experiment(cfg), run_experiment_basic(cfg));
-  }
-}
-
-TEST(StaticDispatch, VectorizedIdenticalToBasicWithoutWarmup) {
-  auto cfg = small_cfg("mcf", PolicyKind::disruptive_restore);
-  cfg.warmup_instructions = 0;
-  expect_identical(run_experiment(cfg), run_experiment_basic(cfg));
+  // No warmup: the drive loop's batch-boundary handling runs from a cold
+  // start.
+  expect_matches_golden("mcf", PolicyKind::reap);
+  expect_matches_golden("mcf", PolicyKind::disruptive_restore);
 }
 
 // Replay equivalence: feeding the engine from a materialized arena

@@ -21,6 +21,8 @@ std::uint64_t mk_addr(std::uint64_t tag, std::uint64_t set) {
   return (tag << (6 + 2)) | (set << 6);
 }
 
+NullHooks none;
+
 TEST(Cache, GeometryChecks) {
   SetAssocCache c(small_cfg());
   EXPECT_EQ(c.config().sets(), 4u);
@@ -32,9 +34,9 @@ TEST(Cache, GeometryChecks) {
 TEST(Cache, ColdMissesThenHits) {
   SetAssocCache c(small_cfg());
   const auto a = mk_addr(1, 0);
-  EXPECT_FALSE(c.read(a));
-  c.fill(a, false);
-  EXPECT_TRUE(c.read(a));
+  EXPECT_FALSE(c.read(a, none));
+  c.fill(a, false, none);
+  EXPECT_TRUE(c.read(a, none));
   EXPECT_EQ(c.stats().read_lookups, 2u);
   EXPECT_EQ(c.stats().read_hits, 1u);
   EXPECT_EQ(c.stats().fills, 1u);
@@ -42,17 +44,17 @@ TEST(Cache, ColdMissesThenHits) {
 
 TEST(Cache, OffsetBitsIgnored) {
   SetAssocCache c(small_cfg());
-  c.fill(mk_addr(1, 0), false);
-  EXPECT_TRUE(c.read(mk_addr(1, 0) + 63));
+  c.fill(mk_addr(1, 0), false, none);
+  EXPECT_TRUE(c.read(mk_addr(1, 0) + 63, none));
 }
 
 TEST(Cache, LruEvictsLeastRecentlyUsed) {
   SetAssocCache c(small_cfg());
   const auto a = mk_addr(1, 0), b = mk_addr(2, 0), d = mk_addr(3, 0);
-  c.fill(a, false);
-  c.fill(b, false);
-  EXPECT_TRUE(c.read(a));  // a is now MRU
-  const auto ev = c.fill(d, false);
+  c.fill(a, false, none);
+  c.fill(b, false, none);
+  EXPECT_TRUE(c.read(a, none));  // a is now MRU
+  const auto ev = c.fill(d, false, none);
   ASSERT_TRUE(ev.any);
   EXPECT_EQ(ev.addr, b);  // b was LRU
   EXPECT_TRUE(c.probe(a));
@@ -65,10 +67,10 @@ TEST(Cache, FifoEvictsOldestFill) {
   cfg.replacement = ReplacementKind::fifo;
   SetAssocCache c(cfg);
   const auto a = mk_addr(1, 0), b = mk_addr(2, 0), d = mk_addr(3, 0);
-  c.fill(a, false);
-  c.fill(b, false);
-  EXPECT_TRUE(c.read(a));  // touching does not save a under FIFO
-  const auto ev = c.fill(d, false);
+  c.fill(a, false, none);
+  c.fill(b, false, none);
+  EXPECT_TRUE(c.read(a, none));  // touching does not save a under FIFO
+  const auto ev = c.fill(d, false, none);
   ASSERT_TRUE(ev.any);
   EXPECT_EQ(ev.addr, a);
 }
@@ -77,9 +79,9 @@ TEST(Cache, RandomReplacementEvictsSomething) {
   CacheConfig cfg = small_cfg();
   cfg.replacement = ReplacementKind::random_repl;
   SetAssocCache c(cfg, 99);
-  c.fill(mk_addr(1, 0), false);
-  c.fill(mk_addr(2, 0), false);
-  const auto ev = c.fill(mk_addr(3, 0), false);
+  c.fill(mk_addr(1, 0), false, none);
+  c.fill(mk_addr(2, 0), false, none);
+  const auto ev = c.fill(mk_addr(3, 0), false, none);
   EXPECT_TRUE(ev.any);
   EXPECT_TRUE(ev.addr == mk_addr(1, 0) || ev.addr == mk_addr(2, 0));
 }
@@ -89,15 +91,15 @@ TEST(Cache, LerEvictsMostAccumulatedLine) {
   cfg.replacement = ReplacementKind::least_error_rate;
   SetAssocCache c(cfg);
   const auto a = mk_addr(1, 0), b = mk_addr(2, 0), d = mk_addr(3, 0);
-  c.fill(a, false);
-  c.fill(b, false);
+  c.fill(a, false, none);
+  c.fill(b, false, none);
   // Simulate accumulation via a hooks-free read pattern: directly bump the
   // counter through repeated reads is not possible without hooks, so use
   // the public surface: reads touch LRU only. Force distinct accumulation
   // through a policy-style mutation is internal; instead verify the LRU
   // tie-break first (equal counters -> LRU victim).
-  EXPECT_TRUE(c.read(a));  // a becomes MRU; counters equal (0)
-  const auto ev = c.fill(d, false);
+  EXPECT_TRUE(c.read(a, none));  // a becomes MRU; counters equal (0)
+  const auto ev = c.fill(d, false, none);
   ASSERT_TRUE(ev.any);
   EXPECT_EQ(ev.addr, b);  // tie on accumulation -> LRU (b) leaves
 }
@@ -107,42 +109,36 @@ TEST(Cache, LerPrefersAccumulationOverRecency) {
   cfg.replacement = ReplacementKind::least_error_rate;
   SetAssocCache c(cfg);
 
-  // Attach a hook that marks way 0 as heavily accumulated.
-  class Bumper : public L2PolicyHooks {
-   public:
-    void on_read_lookup(CacheSetView set, int hit_way) override {
+  // A hook that marks way 0 as heavily accumulated.
+  struct Bumper : NullHooks {
+    void on_read_lookup(CacheSetView set, int hit_way) {
       if (hit_way >= 0) set.rel(0).reads_since_check = 100;
     }
-    void on_write_lookup(CacheSetView, int) override {}
-    void on_fill(LineRel&) override {}
-    void on_evict(LineRel&, bool) override {}
   } bumper;
 
   const auto a = mk_addr(1, 0), b = mk_addr(2, 0), d = mk_addr(3, 0);
-  c.fill(a, false);  // way 0
-  c.fill(b, false);  // way 1
-  c.set_hooks(&bumper);
-  EXPECT_TRUE(c.read(a));  // bumps way 0's accumulation, a is MRU
-  c.set_hooks(nullptr);
+  c.fill(a, false, none);  // way 0
+  c.fill(b, false, none);  // way 1
+  EXPECT_TRUE(c.read(a, bumper));  // bumps way 0's accumulation, a is MRU
 
   // LRU would evict b; LER must evict the accumulated a despite recency.
-  const auto ev = c.fill(d, false);
+  const auto ev = c.fill(d, false, none);
   ASSERT_TRUE(ev.any);
   EXPECT_EQ(ev.addr, a);
 }
 
 TEST(Cache, InvalidWaysFillFirst) {
   SetAssocCache c(small_cfg());
-  c.fill(mk_addr(1, 0), false);
-  const auto ev = c.fill(mk_addr(2, 0), false);
+  c.fill(mk_addr(1, 0), false, none);
+  const auto ev = c.fill(mk_addr(2, 0), false, none);
   EXPECT_FALSE(ev.any);  // second way was free
 }
 
 TEST(Cache, DirtyEvictionReported) {
   SetAssocCache c(small_cfg());
-  c.fill(mk_addr(1, 0), true);
-  c.fill(mk_addr(2, 0), false);
-  const auto ev = c.fill(mk_addr(3, 0), false);
+  c.fill(mk_addr(1, 0), true, none);
+  c.fill(mk_addr(2, 0), false, none);
+  const auto ev = c.fill(mk_addr(3, 0), false, none);
   ASSERT_TRUE(ev.any);
   EXPECT_TRUE(ev.dirty);
   EXPECT_EQ(ev.addr, mk_addr(1, 0));
@@ -152,7 +148,7 @@ TEST(Cache, DirtyEvictionReported) {
 TEST(Cache, WriteHitDirtiesClearsAccumulationAndKeepsOnes) {
   SetAssocCache c(small_cfg());
   c.set_ones_provider(OnesProvider::fixed(100));
-  c.fill(mk_addr(1, 0), false);
+  c.fill(mk_addr(1, 0), false, none);
   EXPECT_EQ(c.line_info(0, 0).ones, 100u);
   EXPECT_FALSE(c.line_info(0, 0).dirty);
 
@@ -161,20 +157,20 @@ TEST(Cache, WriteHitDirtiesClearsAccumulationAndKeepsOnes) {
   // the same value -- even across a mid-run provider swap, which real
   // experiments never do.
   c.set_ones_provider(OnesProvider::fixed(200));
-  EXPECT_TRUE(c.write(mk_addr(1, 0)));
+  EXPECT_TRUE(c.write(mk_addr(1, 0), none));
   EXPECT_TRUE(c.line_info(0, 0).dirty);
   EXPECT_EQ(c.line_info(0, 0).ones, 100u);
   EXPECT_EQ(c.line_info(0, 0).reads_since_check, 0u);
 
   // The next fill of the line derives from the current provider.
   c.invalidate(mk_addr(1, 0));
-  c.fill(mk_addr(1, 0), false);
+  c.fill(mk_addr(1, 0), false, none);
   EXPECT_EQ(c.line_info(0, 0).ones, 200u);
 }
 
 TEST(Cache, WriteMissDoesNotAllocate) {
   SetAssocCache c(small_cfg());
-  EXPECT_FALSE(c.write(mk_addr(1, 0)));
+  EXPECT_FALSE(c.write(mk_addr(1, 0), none));
   EXPECT_FALSE(c.probe(mk_addr(1, 0)));
   EXPECT_EQ(c.stats().write_lookups, 1u);
   EXPECT_EQ(c.stats().write_hits, 0u);
@@ -182,7 +178,7 @@ TEST(Cache, WriteMissDoesNotAllocate) {
 
 TEST(Cache, InvalidateClearsLine) {
   SetAssocCache c(small_cfg());
-  c.fill(mk_addr(1, 0), true);
+  c.fill(mk_addr(1, 0), true, none);
   EXPECT_TRUE(c.invalidate(mk_addr(1, 0)));  // was dirty
   EXPECT_FALSE(c.probe(mk_addr(1, 0)));
   EXPECT_FALSE(c.invalidate(mk_addr(1, 0)));
@@ -190,24 +186,23 @@ TEST(Cache, InvalidateClearsLine) {
 
 TEST(Cache, DefaultOnesIsHalfBlockBits) {
   SetAssocCache c(small_cfg());
-  c.fill(mk_addr(1, 2), false);
+  c.fill(mk_addr(1, 2), false, none);
   EXPECT_EQ(c.line_info(2, 0).ones, 256u);
 }
 
 // Hook recording for interface verification.
-class RecordingHooks : public L2PolicyHooks {
- public:
-  void on_read_lookup(CacheSetView set, int hit_way) override {
+struct RecordingHooks {
+  void on_read_lookup(CacheSetView set, int hit_way) {
     ++reads;
     last_ways = set.size();
     last_hit = hit_way;
   }
-  void on_write_lookup(CacheSetView, int hit_way) override {
+  void on_write_lookup(CacheSetView, int hit_way) {
     ++writes;
     last_hit = hit_way;
   }
-  void on_fill(LineRel&) override { ++fills; }
-  void on_evict(LineRel& rel, bool dirty) override {
+  void on_fill(LineRel&) { ++fills; }
+  void on_evict(LineRel& rel, bool dirty) {
     ++evicts;
     last_evicted_ones = rel.ones;
     last_evicted_dirty = dirty;
@@ -223,25 +218,23 @@ class RecordingHooks : public L2PolicyHooks {
 TEST(CacheHooks, ReadLookupSeesAllWaysAndHitIndex) {
   SetAssocCache c(small_cfg());
   RecordingHooks h;
-  c.set_hooks(&h);
-  c.read(mk_addr(1, 0));
+  c.read(mk_addr(1, 0), h);
   EXPECT_EQ(h.reads, 1);
   EXPECT_EQ(h.last_ways, 2u);
   EXPECT_EQ(h.last_hit, -1);
-  c.fill(mk_addr(1, 0), false);
+  c.fill(mk_addr(1, 0), false, h);
   EXPECT_EQ(h.fills, 1);
-  c.read(mk_addr(1, 0));
+  c.read(mk_addr(1, 0), h);
   EXPECT_EQ(h.last_hit, 0);
 }
 
 TEST(CacheHooks, EvictFiresBeforeInvalidation) {
   SetAssocCache c(small_cfg());
   RecordingHooks h;
-  c.set_hooks(&h);
   c.set_ones_provider(OnesProvider::fixed(77));
-  c.fill(mk_addr(1, 0), false);
-  c.fill(mk_addr(2, 0), false);
-  c.fill(mk_addr(3, 0), false);  // evicts one
+  c.fill(mk_addr(1, 0), false, h);
+  c.fill(mk_addr(2, 0), false, h);
+  c.fill(mk_addr(3, 0), false, h);  // evicts one
   EXPECT_EQ(h.evicts, 1);
   EXPECT_EQ(h.last_evicted_ones, 77u);  // still populated at evict time
   EXPECT_FALSE(h.last_evicted_dirty);
@@ -251,16 +244,15 @@ TEST(CacheHooks, EvictFiresBeforeInvalidation) {
 TEST(CacheHooks, WriteLookupFiresOnMissToo) {
   SetAssocCache c(small_cfg());
   RecordingHooks h;
-  c.set_hooks(&h);
-  c.write(mk_addr(9, 1));
+  c.write(mk_addr(9, 1), h);
   EXPECT_EQ(h.writes, 1);
   EXPECT_EQ(h.last_hit, -1);
 }
 
 TEST(Cache, StatsResetKeepsContents) {
   SetAssocCache c(small_cfg());
-  c.fill(mk_addr(1, 0), false);
-  c.read(mk_addr(1, 0));
+  c.fill(mk_addr(1, 0), false, none);
+  c.read(mk_addr(1, 0), none);
   c.reset_stats();
   EXPECT_EQ(c.stats().read_lookups, 0u);
   EXPECT_TRUE(c.probe(mk_addr(1, 0)));  // contents survive

@@ -27,7 +27,8 @@ TEST(TraceCpu, CountsInstructionsNotDataOps) {
   });
   MemoryHierarchy mem(tiny_cfg());
   TraceCpu cpu(src, mem);
-  EXPECT_EQ(cpu.run(100), 3u);
+  NullHooks hooks;
+  EXPECT_EQ(cpu.run_vectorized(100, hooks), 3u);
   EXPECT_EQ(cpu.instructions(), 3u);
 }
 
@@ -38,9 +39,10 @@ TEST(TraceCpu, StopsAtInstructionBudget) {
   trace::VectorTraceSource src(ops);
   MemoryHierarchy mem(tiny_cfg());
   TraceCpu cpu(src, mem);
-  EXPECT_EQ(cpu.run(30), 30u);
-  EXPECT_EQ(cpu.run(30), 30u);
-  EXPECT_EQ(cpu.run(100), 40u);  // trace exhausted
+  NullHooks hooks;
+  EXPECT_EQ(cpu.run_vectorized(30, hooks), 30u);
+  EXPECT_EQ(cpu.run_vectorized(30, hooks), 30u);
+  EXPECT_EQ(cpu.run_vectorized(100, hooks), 40u);  // trace exhausted
 }
 
 TEST(TraceCpu, CyclesIncludeMemoryStalls) {
@@ -50,7 +52,8 @@ TEST(TraceCpu, CyclesIncludeMemoryStalls) {
   });
   MemoryHierarchy mem(tiny_cfg());
   TraceCpu cpu(src, mem);
-  cpu.run(10);
+  NullHooks hooks;
+  cpu.run_vectorized(10, hooks);
   // 1 cycle for the instruction + I-fetch cold miss (100) + load cold miss
   // (100).
   EXPECT_EQ(cpu.cycles(), 201u);
@@ -64,7 +67,8 @@ TEST(TraceCpu, PerfectL1GivesIpcNearOne) {
   trace::VectorTraceSource src(ops);
   MemoryHierarchy mem(tiny_cfg());
   TraceCpu cpu(src, mem);
-  cpu.run(1000);
+  NullHooks hooks;
+  cpu.run_vectorized(1000, hooks);
   EXPECT_GT(cpu.ipc(), 0.9);
 }
 
@@ -72,7 +76,8 @@ TEST(TraceCpu, SecondsUsesClock) {
   trace::VectorTraceSource src({{trace::OpType::inst_fetch, 0x400000}});
   MemoryHierarchy mem(tiny_cfg());
   TraceCpu cpu(src, mem, /*clock_ghz=*/1.0);
-  cpu.run(1);
+  NullHooks hooks;
+  cpu.run_vectorized(1, hooks);
   // 1 + 100 cycles at 1 GHz = 101 ns.
   EXPECT_NEAR(cpu.seconds(), 101e-9, 1e-12);
 }
@@ -86,16 +91,17 @@ TEST(TraceCpu, ResetCountersKeepsCacheState) {
   });
   MemoryHierarchy mem(tiny_cfg());
   TraceCpu cpu(src, mem);
-  cpu.run(1);  // first instruction + cold load
+  NullHooks hooks;
+  cpu.run_vectorized(1, hooks);  // first instruction + cold load
   cpu.reset_counters();
   EXPECT_EQ(cpu.instructions(), 0u);
-  cpu.run(1);  // second instruction: warm load, few cycles
+  cpu.run_vectorized(1, hooks);  // second instruction: warm load, few cycles
   EXPECT_LT(cpu.cycles(), 10u);
 }
 
 // A pseudo-random but deterministic op mix that misses, hits, and writes
-// back across both L1s and the L2 -- enough traffic that a divergence in
-// the drive loops would show up in cycles or hierarchy stats.
+// back across both L1s and the L2 -- enough traffic that a divergence
+// between drive schedules would show up in cycles or hierarchy stats.
 std::vector<trace::MemOp> mixed_ops(std::size_t n) {
   std::vector<trace::MemOp> ops;
   std::uint64_t x = 0x9E3779B97F4A7C15ull;
@@ -114,8 +120,52 @@ std::vector<trace::MemOp> mixed_ops(std::size_t n) {
   return ops;
 }
 
-void expect_same_run(const TraceCpu& a, const MemoryHierarchy& ma,
-                     const TraceCpu& b, const MemoryHierarchy& mb) {
+// Reference for the drive loop: one op at a time through the hierarchy's
+// un-hinted access paths (which derive the L2 set/tag from the address
+// instead of taking the batch pre-decode), under the same budget rule --
+// an instruction past the budget ends the call and waits for the next.
+class PerOpWalk {
+ public:
+  PerOpWalk(const std::vector<trace::MemOp>& ops, MemoryHierarchy& mem)
+      : ops_(ops), mem_(mem) {}
+
+  std::uint64_t run(std::uint64_t max_instructions) {
+    std::uint64_t executed = 0;
+    for (; pos_ < ops_.size(); ++pos_) {
+      const trace::MemOp op = ops_[pos_];
+      switch (op.type) {
+        case trace::OpType::inst_fetch:
+          if (executed == max_instructions) return executed;
+          ++executed;
+          ++instructions_;
+          cycles_ += 1 + mem_.inst_fetch(op.addr, hooks_);
+          break;
+        case trace::OpType::load:
+          cycles_ += mem_.load(op.addr, hooks_);
+          break;
+        case trace::OpType::store:
+          cycles_ += mem_.store(op.addr, hooks_);
+          break;
+      }
+    }
+    return executed;
+  }
+
+  std::uint64_t instructions() const { return instructions_; }
+  std::uint64_t cycles() const { return cycles_; }
+
+ private:
+  const std::vector<trace::MemOp>& ops_;
+  MemoryHierarchy& mem_;
+  NullHooks hooks_;
+  std::size_t pos_ = 0;
+  std::uint64_t instructions_ = 0;
+  std::uint64_t cycles_ = 0;
+};
+
+template <class A, class B>
+void expect_same_run(const A& a, const MemoryHierarchy& ma, const B& b,
+                     const MemoryHierarchy& mb) {
   EXPECT_EQ(a.instructions(), b.instructions());
   EXPECT_EQ(a.cycles(), b.cycles());
   const HierarchyStats sa = ma.stats();
@@ -129,49 +179,46 @@ void expect_same_run(const TraceCpu& a, const MemoryHierarchy& ma,
   EXPECT_EQ(sa.mem_writes, sb.mem_writes);
 }
 
-TEST(TraceCpu, VectorizedLoopMatchesBatchedLoop) {
+TEST(TraceCpu, VectorizedLoopMatchesPerOpWalk) {
   const auto ops = mixed_ops(20'000);
-  trace::VectorTraceSource src_a(ops), src_b(ops);
+  trace::VectorTraceSource src(ops);
   MemoryHierarchy mem_a(tiny_cfg()), mem_b(tiny_cfg());
-  TraceCpu cpu_a(src_a, mem_a), cpu_b(src_b, mem_b);
+  PerOpWalk walk(ops, mem_a);
+  TraceCpu cpu(src, mem_b);
   NullHooks hooks;
-  EXPECT_EQ(cpu_a.run(100'000, hooks), cpu_b.run_vectorized(100'000, hooks));
-  expect_same_run(cpu_a, mem_a, cpu_b, mem_b);
+  EXPECT_EQ(walk.run(100'000), cpu.run_vectorized(100'000, hooks));
+  expect_same_run(walk, mem_a, cpu, mem_b);
 }
 
 TEST(TraceCpu, VectorizedLoopHonoursInstructionBudget) {
   const auto ops = mixed_ops(20'000);
-  trace::VectorTraceSource src_a(ops), src_b(ops);
+  trace::VectorTraceSource src(ops);
   MemoryHierarchy mem_a(tiny_cfg()), mem_b(tiny_cfg());
-  TraceCpu cpu_a(src_a, mem_a), cpu_b(src_b, mem_b);
+  PerOpWalk walk(ops, mem_a);
+  TraceCpu cpu(src, mem_b);
   NullHooks hooks;
-  EXPECT_EQ(cpu_a.run(1'000, hooks), cpu_b.run_vectorized(1'000, hooks));
-  expect_same_run(cpu_a, mem_a, cpu_b, mem_b);
+  EXPECT_EQ(walk.run(1'000), cpu.run_vectorized(1'000, hooks));
+  expect_same_run(walk, mem_a, cpu, mem_b);
   // Resume both to trace end.
-  EXPECT_EQ(cpu_a.run(100'000, hooks), cpu_b.run_vectorized(100'000, hooks));
-  expect_same_run(cpu_a, mem_a, cpu_b, mem_b);
+  EXPECT_EQ(walk.run(100'000), cpu.run_vectorized(100'000, hooks));
+  expect_same_run(walk, mem_a, cpu, mem_b);
 }
 
-TEST(TraceCpu, BatchedStylesHandOffMidBatch) {
-  // The two batched styles share the batch buffer; switching styles with a
-  // partially consumed batch must lose no ops and change no result. (The
-  // vectorized loop re-decodes an inherited batch; the plain loop just
-  // ignores the decode arrays.)
+TEST(TraceCpu, SlicedRunsEqualOneUninterruptedRun) {
+  // 100-instruction slices are far smaller than kBatchOps, so nearly every
+  // slice ends mid-batch; resuming from the buffered batch must lose no
+  // op and change no result.
   const auto ops = mixed_ops(20'000);
   trace::VectorTraceSource src_a(ops), src_b(ops);
   MemoryHierarchy mem_a(tiny_cfg()), mem_b(tiny_cfg());
   TraceCpu cpu_a(src_a, mem_a), cpu_b(src_b, mem_b);
   NullHooks hooks;
-  std::uint64_t done_a = 0, done_b = 0;
-  // 100-instruction slices are far smaller than kBatchOps, so every switch
-  // happens mid-batch.
-  for (int slice = 0; ; ++slice) {
-    const std::uint64_t got_b = (slice % 2 == 0)
-                                    ? cpu_b.run(100, hooks)
-                                    : cpu_b.run_vectorized(100, hooks);
-    done_a += cpu_a.run(100, hooks);
-    done_b += got_b;
-    if (got_b == 0) break;
+  const std::uint64_t done_a = cpu_a.run_vectorized(100'000, hooks);
+  std::uint64_t done_b = 0;
+  for (;;) {
+    const std::uint64_t got = cpu_b.run_vectorized(100, hooks);
+    done_b += got;
+    if (got == 0) break;
   }
   EXPECT_EQ(done_a, done_b);
   expect_same_run(cpu_a, mem_a, cpu_b, mem_b);
