@@ -192,14 +192,14 @@ int main(int argc, char** argv) {
     const auto plan = campaign::trace_plan(mine);
     campaign::RunnerOptions thread_probe;
     thread_probe.threads = threads;
-    const unsigned threads =
+    const unsigned run_threads =
         campaign::CampaignRunner(thread_probe).effective_threads(mine.size());
     if (trace_cache_mb > 0)
       std::printf(
           "trace groups: %zu (largest ~%.1f MB; est. peak ~%.1f MB "
           "materialized on %u threads, cache cap %llu MB)\n",
           plan.groups, mb(plan.largest_bytes),
-          mb(plan.largest_bytes * threads), threads,
+          mb(plan.largest_bytes * run_threads), run_threads,
           static_cast<unsigned long long>(trace_cache_mb));
     else
       std::printf(
