@@ -240,14 +240,9 @@ class SetAssocCache {
   // probe. Returns hit.
   template <class Hooks>
   bool write(std::uint64_t addr, Hooks& hooks) {
-    return write_pre(set_of(addr), tagv_of(addr), hooks);
-  }
-
-  // Pre-decoded write lookup; same contract as read_pre.
-  template <class Hooks>
-  bool write_pre(std::size_t set, std::uint64_t tagv, Hooks& hooks) {
+    const std::size_t set = set_of(addr);
     ++stats_.write_lookups;
-    const int way = find_way(set, tagv);
+    const int way = find_way(set, tagv_of(addr));
     hooks.on_write_lookup(view_of(set), way);
     if (way < 0) return false;
     ++stats_.write_hits;
