@@ -7,12 +7,16 @@
 // scalar-fallback leg), so the table is pinned on both builds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "reap/core/experiment.hpp"
 #include "reap/trace/replay.hpp"
 #include "reap/trace/spec2006.hpp"
+#include "reap/trace/workload.hpp"
 
 namespace reap::core {
 namespace {
@@ -561,7 +565,9 @@ void expect_matches_golden(const std::string& workload, PolicyKind policy) {
   expect_golden(run_experiment(config_of(g)), g);
 }
 
-TEST(StaticDispatch, IdenticalToGoldenForEveryPolicy) {
+// The table rows were recorded from the per-op virtual-dispatch loop;
+// these four tests keep its configs and pin run_experiment to them.
+TEST(StaticDispatch, IdenticalToVirtualPathForEveryPolicy) {
   for (const PolicyKind kind : all_policies())
     expect_matches_golden("perlbench", kind);
 }
@@ -583,6 +589,57 @@ TEST(StaticDispatch, IdenticalWithoutWarmup) {
   // start.
   expect_matches_golden("mcf", PolicyKind::reap);
   expect_matches_golden("mcf", PolicyKind::disruptive_restore);
+}
+
+// The same rows were also reproduced by the plain batched loop, which
+// stepped op by op with no batch pre-decode. Its pin is that pre-decode
+// changes no result however the trace is chunked, so the tests below feed
+// the vectorized loop short, uneven batches (a short batch does not end
+// the trace) and hold it to the table.
+class ShortBatchSource final : public trace::TraceSource {
+ public:
+  explicit ShortBatchSource(const trace::WorkloadProfile& profile)
+      : inner_(profile) {}
+
+  bool next(trace::MemOp& op) override { return inner_.next(op); }
+
+  std::size_t next_batch(std::span<trace::MemOp> out) override {
+    static constexpr std::size_t kSizes[] = {1, 7, 61, 509};
+    const std::size_t cap = kSizes[calls_++ % std::size(kSizes)];
+    return inner_.next_batch(out.first(std::min(cap, out.size())));
+  }
+
+  void reset() override {
+    inner_.reset();
+    calls_ = 0;
+  }
+
+ private:
+  trace::WorkloadTraceSource inner_;
+  std::size_t calls_ = 0;
+};
+
+void expect_short_batches_match_golden(const std::string& workload,
+                                       PolicyKind policy) {
+  const Golden& g = golden(workload, policy);
+  const auto cfg = config_of(g);
+  ShortBatchSource source(cfg.workload);
+  expect_golden(run_experiment_replay(cfg, source), g);
+}
+
+TEST(StaticDispatch, VectorizedIdenticalToBasicForEveryPolicy) {
+  for (const PolicyKind kind : all_policies())
+    expect_short_batches_match_golden("perlbench", kind);
+}
+
+TEST(StaticDispatch, VectorizedIdenticalToBasicOnHotSetWorkload) {
+  expect_short_batches_match_golden("h264ref",
+                                    PolicyKind::conventional_parallel);
+  expect_short_batches_match_golden("h264ref", PolicyKind::reap);
+}
+
+TEST(StaticDispatch, VectorizedIdenticalToBasicWithoutWarmup) {
+  expect_short_batches_match_golden("mcf", PolicyKind::disruptive_restore);
 }
 
 // Replay equivalence: feeding the engine from a materialized arena
