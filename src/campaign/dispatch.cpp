@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -35,9 +36,11 @@ struct ShardState {
   std::size_t last_slot = kNoSlot;  // slot of the most recent attempt
   bool completed = false;
   bool abandoned = false;
+  // Some attempt's stream delivered its header frame: the worker got as
+  // far as starting a run, so skipping rows (the bisect) can help.
+  bool header_streamed = false;
   std::string journal_path;
   std::string log_path;
-  std::optional<JournalTailer> tailer;
   std::unordered_set<std::string> done_keys;     // journaled row keys
   std::unordered_set<std::string> quarantined;   // poisoned keys (this shard)
   // Quarantine bisect state. `suspects` is the candidate set the poison
@@ -52,13 +55,13 @@ struct ShardState {
 // One busy worker slot.
 struct Slot {
   std::unique_ptr<WorkerHandle> worker;
+  JournalWriter journal;  // the shard journal, opened for this attempt
   std::size_t shard = 0;
   std::size_t transport = 0;  // index into the transports vector
   std::size_t attempt = 0;
   std::size_t rows_at_spawn = 0;
-  // Watchdog heartbeat: the shard journal's tailer offset. A worker
-  // whose offset stops moving has stopped completing rows.
-  std::uint64_t last_offset = 0;
+  // Watchdog heartbeat: when this worker last landed a row in the shard
+  // journal. A worker that stops landing rows has stopped completing them.
   Clock::time_point last_change{};
   std::optional<Clock::time_point> term_at;  // SIGTERM sent, grace running
 };
@@ -96,7 +99,7 @@ std::optional<DispatchPlan> plan_dispatch(const CampaignSpec& spec,
     // The slot pool is whatever the transports bring; --workers is a
     // local-pool knob and does not apply.
     plan.workers = 0;
-    for (const auto& t : opts.transports) plan.workers += t->slots();
+    for (const auto& t : opts.transports) plan.workers += t.slots();
     plan.workers = std::max<std::size_t>(plan.workers, 1);
   } else {
     plan.workers = opts.workers != 0
@@ -124,7 +127,7 @@ std::optional<DispatchPlan> plan_dispatch(const CampaignSpec& spec,
     std::error_code ec;
     if (!std::filesystem::exists(path, ec) || ec) continue;
     const auto prior = read_journal_header(path);
-    if (!prior) continue;  // unreadable/corrupt: the worker will complain
+    if (!prior) continue;  // unreadable: Dispatcher::run reports it
     if (prior->spec_hash != spec_hash(spec))
       return fail("work dir " + opts.work_dir +
                   " holds journals for a different spec (" + path +
@@ -186,22 +189,22 @@ DispatchResult Dispatcher::run() {
                 ec.message());
 
   // The slot pool: every transport's slots, concatenated. No transports
-  // configured means today's local pool, unchanged.
+  // configured means one `local` host with the planned worker count.
   auto transports = opts_.transports;
   if (transports.empty())
-    transports.push_back(
-        std::make_shared<LocalTransport>(opts_.campaign_binary, workers));
+    transports.emplace_back(HostSpec{"local", workers, opts_.campaign_binary,
+                                     opts_.work_dir + "/remote-local", ""});
   std::vector<HostState> hosts(transports.size());
   std::vector<std::size_t> slot_owner;  // slot index -> transport index
   for (std::size_t t = 0; t < transports.size(); ++t)
-    for (std::size_t k = 0; k < transports[t]->slots(); ++k)
+    for (std::size_t k = 0; k < transports[t].slots(); ++k)
       slot_owner.push_back(t);
 
   const auto lose_host = [&](std::size_t t, const std::string& reason) {
     if (hosts[t].dead) return;
     hosts[t].dead = true;
-    result.lost_hosts.push_back(transports[t]->host());
-    if (opts_.on_host_lost) opts_.on_host_lost(transports[t]->host(), reason);
+    result.lost_hosts.push_back(transports[t].host());
+    if (opts_.on_host_lost) opts_.on_host_lost(transports[t].host(), reason);
   };
 
   // One machine-level failure against host `t`; enough of them in a row
@@ -217,13 +220,13 @@ DispatchResult Dispatcher::run() {
   // fleet skew would hide exactly the divergence it causes.
   for (std::size_t t = 0; t < transports.size(); ++t) {
     std::string note;
-    const auto hs = transports[t]->handshake(opts_.expected_worker_version,
-                                             opts_.trace_dir, &error, &note);
+    const auto hs = transports[t].handshake(opts_.expected_worker_version,
+                                            opts_.trace_dir, &error, &note);
     if (hs == HandshakeStatus::mismatch)
       return fail(error, DispatchStatus::error);
     if (hs == HandshakeStatus::unreachable) lose_host(t, error);
     if (!note.empty() && opts_.on_host_note)
-      opts_.on_host_note(transports[t]->host(), note);
+      opts_.on_host_note(transports[t].host(), note);
   }
   {
     bool any_live = false;
@@ -240,7 +243,6 @@ DispatchResult Dispatcher::run() {
     const auto base = opts_.work_dir + "/shard_" + std::to_string(i);
     s.journal_path = base + ".journal";
     s.log_path = base + ".log";
-    s.tailer.emplace(s.journal_path);
   }
 
   // Shard membership (index striping, matching campaign::shard) and the
@@ -277,6 +279,27 @@ DispatchResult Dispatcher::run() {
     }
   }
 
+  // The dispatcher is the only writer of the shard journals. A journal a
+  // previous run left is checked against this run and healed (torn tail,
+  // corrupt lines) before anything is appended; its rows are done. A
+  // missing one is created with its header.
+  for (std::size_t i = 0; i < n_shards; ++i) {
+    auto& s = shards[i];
+    if (std::filesystem::exists(s.journal_path, ec)) {
+      const auto prior = reopen_journal(s.journal_path, *spec, points.size(),
+                                        i, n_shards, &error);
+      if (!prior)
+        return fail("cannot resume " + s.journal_path + ": " + error +
+                    "; use a fresh --work-dir");
+      for (const auto& row : prior->rows) s.done_keys.insert(row.key);
+    } else {
+      const JournalWriter created(
+          s.journal_path,
+          JournalHeader::for_run(*spec, points.size(), i, n_shards));
+      if (!created.ok()) return fail("cannot write journal " + s.journal_path);
+    }
+  }
+
   const auto quarantine_point = [&](std::size_t shard_i,
                                     const std::string& key,
                                     const std::string& reason) {
@@ -293,12 +316,10 @@ DispatchResult Dispatcher::run() {
   };
 
   // Worker launch plan: the resolved spec as flags (workers parse the
-  // identical spec; their journal spec-hash check enforces it), plus the
-  // shard assignment and durability flags. The transport adds the
-  // journal/resume flags itself (local workers resume the local journal
-  // in place; remote ones start fresh and skip what is already durable).
-  // Quarantined keys -- and, while probing, the suspects outside the
-  // probe target -- are excluded via the plan's skip set.
+  // identical spec), plus the shard assignment and durability flags.
+  // Everything the attempt must not run goes on the skip list: journaled
+  // keys, quarantined keys, and -- while probing -- the suspects outside
+  // the probe target.
   const auto worker_plan = [&](std::size_t shard_i) {
     const auto& s = shards[shard_i];
     WorkerPlan plan;
@@ -315,15 +336,14 @@ DispatchResult Dispatcher::run() {
       plan.flags.push_back("--trace-dir=" + opts_.trace_dir);
     plan.flags.push_back("--baseline=none");
     plan.flags.push_back("--quiet");
-    plan.skip.assign(s.quarantined.begin(), s.quarantined.end());
-    std::sort(plan.skip.begin(), plan.skip.end());
+    plan.skip.assign(s.done_keys.begin(), s.done_keys.end());
+    plan.skip.insert(plan.skip.end(), s.quarantined.begin(),
+                     s.quarantined.end());
     if (s.probing)
       plan.skip.insert(plan.skip.end(),
                        s.suspects.begin() + s.probe_target.size(),
                        s.suspects.end());
-    plan.done.assign(s.done_keys.begin(), s.done_keys.end());
-    std::sort(plan.done.begin(), plan.done.end());
-    plan.journal_path = s.journal_path;
+    std::sort(plan.skip.begin(), plan.skip.end());
     plan.log_path = s.log_path;
     return plan;
   };
@@ -349,7 +369,23 @@ DispatchResult Dispatcher::run() {
                           s.suspects.begin() + static_cast<long>(take));
   };
 
-  std::size_t remaining = n_shards;
+  // Every non-quarantined point of the shard is journaled.
+  const auto covered = [](const ShardState& s) {
+    std::size_t n = s.quarantined.size();
+    for (const auto& k : s.done_keys)
+      if (!s.quarantined.count(k)) ++n;
+    return n >= s.expected;
+  };
+
+  // A shard whose journal already covers it is complete without a launch.
+  std::size_t remaining = 0;
+  std::deque<std::size_t> queue;
+  for (std::size_t i = 0; i < n_shards; ++i) {
+    shards[i].completed = covered(shards[i]);
+    if (shards[i].completed) continue;
+    queue.push_back(i);
+    ++remaining;
+  }
 
   const auto abandon = [&](std::size_t shard_i, std::string msg) {
     auto& s = shards[shard_i];
@@ -377,8 +413,6 @@ DispatchResult Dispatcher::run() {
     return std::chrono::duration_cast<std::chrono::milliseconds>(delay);
   };
 
-  std::deque<std::size_t> queue;
-  for (std::size_t i = 0; i < n_shards; ++i) queue.push_back(i);
   std::vector<std::optional<Slot>> slots(slot_owner.size());
 
   const auto finish = [&](bool ok, std::string msg, DispatchStatus st) {
@@ -387,7 +421,7 @@ DispatchResult Dispatcher::run() {
     for (std::size_t i = 0; i < n_shards; ++i) {
       const auto& s = shards[i];
       result.shards.push_back({i, s.attempts, s.completed,
-                               s.tailer->rows_seen(), s.journal_path,
+                               s.done_keys.size(), s.journal_path,
                                s.log_path});
     }
     if (!ok) return fail(std::move(msg), st);
@@ -396,10 +430,40 @@ DispatchResult Dispatcher::run() {
     return result;
   };
 
+  // Moves one worker's verified stream into its shard journal. A row new
+  // to the shard is appended and counts -- done_keys, on_shard_rows, the
+  // watchdog heartbeat -- the moment it lands. Returns false (and sets
+  // `error`) when the append failed: the journal's errno is sticky, so
+  // the dispatch must stop, the journal ending at its last durable row.
+  const auto columns = result_header();
+  const auto ingest = [&](Slot& slot, Clock::time_point now) {
+    auto& s = shards[slot.shard];
+    for (const auto& line : slot.worker->pump()) {
+      if (line.rfind("{\"format\":", 0) == 0) {
+        s.header_streamed = true;
+        continue;
+      }
+      auto row = parse_journal_row(line, columns);
+      if (!row || s.done_keys.count(row->key)) continue;
+      slot.journal.add(row->key, row->cells);
+      if (const int err = slot.journal.io_errno()) {
+        error = "journal append failed on " + s.journal_path + " (" +
+                std::strerror(err) +
+                "); stopped at a row boundary, re-run to resume";
+        return false;
+      }
+      s.done_keys.insert(row->key);
+      slot.last_change = now;
+      if (opts_.on_shard_rows)
+        opts_.on_shard_rows(slot.shard, s.done_keys.size());
+    }
+    return true;
+  };
+
   std::size_t last_reported = static_cast<std::size_t>(-1);
   const auto report_progress = [&] {
     std::size_t done = 0;
-    for (const auto& s : shards) done += s.tailer->rows_seen();
+    for (const auto& s : shards) done += s.done_keys.size();
     if (opts_.on_progress && done != last_reported) {
       last_reported = done;
       opts_.on_progress(done, points.size());
@@ -430,9 +494,13 @@ DispatchResult Dispatcher::run() {
       queue.erase(queue.begin() + static_cast<long>(qi));
       prepare_probe(shard_i);
       const std::size_t t = slot_owner[slot_i];
+      JournalWriter journal(s.journal_path);  // append; the only writer
+      if (!journal.ok())
+        return finish(false, "cannot write journal " + s.journal_path,
+                      DispatchStatus::error);
       bool transient = false;
       auto worker =
-          transports[t]->launch(worker_plan(shard_i), &error, &transient);
+          transports[t].launch(worker_plan(shard_i), &error, &transient);
       if (!worker) {
         // A permanent spawn failure (missing binary, unwritable log)
         // would fail every shard identically: stop the dispatch with
@@ -443,32 +511,26 @@ DispatchResult Dispatcher::run() {
         // the shard's no-progress streak.
         if (!transient) return finish(false, error, DispatchStatus::error);
         s.attempts++;
-        if (!transports[t]->local()) {
+        if (!transports[t].local()) {
           host_fail(t, error);
-          result.restarts++;
-          s.eligible_at = now + backoff_delay(shard_i);
-          queue.push_back(shard_i);
-          continue;
-        }
-        s.no_progress++;
-        if (s.no_progress >= opts_.max_attempts) {
+        } else if (++s.no_progress >= opts_.max_attempts) {
           abandon(shard_i,
                   "shard " + std::to_string(shard_i) + " failed " +
                       std::to_string(s.no_progress) + "/" +
                       std::to_string(opts_.max_attempts) + " attempts (" +
                       error + "); see " + s.log_path);
-        } else {
-          result.restarts++;
-          s.eligible_at = now + backoff_delay(shard_i);
-          queue.push_back(shard_i);
+          continue;
         }
+        result.restarts++;
+        s.eligible_at = now + backoff_delay(shard_i);
+        queue.push_back(shard_i);
         continue;
       }
       if (opts_.on_spawn)
         opts_.on_spawn(shard_i, s.attempts, slot_i, worker->pid());
       s.last_slot = slot_i;
-      slots[slot_i].emplace(Slot{std::move(worker), shard_i, t, s.attempts,
-                                 s.tailer->rows_seen(), s.tailer->offset(),
+      slots[slot_i].emplace(Slot{std::move(worker), std::move(journal),
+                                 shard_i, t, s.attempts, s.done_keys.size(),
                                  now, std::nullopt});
     }
 
@@ -487,34 +549,17 @@ DispatchResult Dispatcher::run() {
       }
     }
 
-    // Move remote journal streams into the local journals before the
-    // tailers look: the stream is how those journals grow.
     for (auto& slot : slots)
-      if (slot) slot->worker->pump();
-
-    // Tail journals for live progress (and the done_keys bookkeeping the
-    // quarantine bisect navigates by).
-    for (auto& s : shards) {
-      if (s.completed || s.abandoned) continue;
-      const auto fresh = s.tailer->poll();
-      for (const auto& k : fresh) s.done_keys.insert(k);
-      if (!fresh.empty() && opts_.on_shard_rows)
-        opts_.on_shard_rows(std::size_t(&s - shards.data()),
-                            s.tailer->rows_seen());
-    }
+      if (slot && !ingest(*slot, now))
+        return finish(false, error, DispatchStatus::error);
     report_progress();
 
-    // Watchdog: a worker whose journal offset has not moved within
-    // stall_timeout gets SIGTERM (graceful row-boundary exit), then
-    // SIGKILL after kill_grace. The kill surfaces below as an ordinary
-    // failed attempt -- restart, backoff, quarantine all apply.
+    // Watchdog: a worker that has landed no row within stall_timeout
+    // gets SIGTERM (graceful row-boundary exit), then SIGKILL after
+    // kill_grace. The kill surfaces below as an ordinary failed attempt
+    // -- restart, backoff, quarantine all apply.
     for (auto& slot : slots) {
       if (!slot) continue;
-      const auto off = shards[slot->shard].tailer->offset();
-      if (off != slot->last_offset) {
-        slot->last_offset = off;
-        slot->last_change = now;
-      }
       if (opts_.stall_timeout.count() > 0 && !slot->term_at &&
           now - slot->last_change >= opts_.stall_timeout) {
         result.stalls++;
@@ -531,24 +576,18 @@ DispatchResult Dispatcher::run() {
       if (!slot) continue;
       const auto status = slot->worker->poll();
       if (!status) continue;
-      slot->worker->drain();  // stream remainder -> local journal
+      // The stream's remainder: rows that landed just before the exit.
+      if (!ingest(*slot, now))
+        return finish(false, error, DispatchStatus::error);
       auto& s = shards[slot->shard];
       s.attempts++;
-      for (const auto& k : s.tailer->poll())  // rows landed just before exit
-        s.done_keys.insert(k);
-      const std::size_t rows = s.tailer->rows_seen();
-      const bool progressed = rows > slot->rows_at_spawn;
+      const bool progressed = s.done_keys.size() > slot->rows_at_spawn;
 
       // "Done" means exited 0 *and* every non-quarantined point of the
       // shard is journaled: a worker that exits cleanly without
-      // journaling its rows (wrong binary, journal path lost) must not
+      // streaming its rows (wrong binary, journal path lost) must not
       // count as success.
-      std::size_t covered = s.quarantined.size();
-      for (const auto& k : s.done_keys)
-        if (!s.quarantined.count(k)) ++covered;
-      const bool done = status->success() && covered >= s.expected;
-
-      if (done) {
+      if (status->success() && covered(s)) {
         if (opts_.on_worker_exit)
           opts_.on_worker_exit(slot->shard, slot->attempt, true, false);
         s.completed = true;
@@ -564,7 +603,7 @@ DispatchResult Dispatcher::run() {
       // budget and requeue the shard -- its no-progress streak, probe
       // state, and abandonment budget stay untouched, because nothing
       // was learned about the *work*.
-      if (!transports[slot->transport]->local() &&
+      if (!transports[slot->transport].local() &&
           slot->worker->host_failure(*status)) {
         host_fail(slot->transport,
                   "worker " + status->describe() + " (connection lost)");
@@ -620,13 +659,10 @@ DispatchResult Dispatcher::run() {
       } else if (s.no_progress >= opts_.max_attempts) {
         // The shard is failing without progress. Bisect for a poisoned
         // point when allowed and possible; abandon otherwise. No
-        // journal at all means the worker never even started a run --
-        // skipping rows cannot fix that.
-        std::error_code jec;
-        const bool has_journal =
-            std::filesystem::exists(s.journal_path, jec) && !jec;
+        // attempt ever streamed a journal header means the worker never
+        // even started a run -- skipping rows cannot fix that.
         std::vector<std::string> fresh_suspects;
-        if (!opts_.fail_fast && has_journal)
+        if (!opts_.fail_fast && s.header_streamed)
           for (const auto* p : members[slot->shard])
             if (!s.done_keys.count(p->key) && !s.quarantined.count(p->key))
               fresh_suspects.push_back(p->key);
@@ -653,7 +689,7 @@ DispatchResult Dispatcher::run() {
       } else {
         result.restarts++;
         s.eligible_at = now + backoff_delay(slot->shard);
-        queue.push_back(slot->shard);  // restart via --resume, other slot
+        queue.push_back(slot->shard);  // restart past the journaled rows
       }
       slot.reset();
     }

@@ -1,32 +1,39 @@
-// Dispatcher: automatic shard distribution over a local worker pool.
+// Dispatcher: automatic shard distribution over a pool of workers.
 //
 // PR 3 made a campaign a durable, partitionable artifact (--shard,
 // --journal, --resume); the dispatcher turns that into a one-command
 // distributed run. It expands the spec, splits the grid into N shards,
-// and keeps K `reap_campaign --shard=i/N --journal=... --resume` worker
-// processes busy until every shard's journal is complete:
+// and keeps K `reap_campaign --shard=i/N` worker processes busy until
+// every shard's journal is complete:
 //
-//   - a worker that crashes (or is killed) is restarted on the same
-//     journal; --resume skips the rows that already landed, so no work
-//     is lost and no row runs twice;
+//   - every worker, on every host, streams its journal lines over
+//     stdout as CRC32C-framed records (--journal-stdout; transport.hpp).
+//     The dispatcher verifies each streamed row and appends it to
+//     work_dir/shard_i.journal: it is the only writer of those journals,
+//     and the moment of the append is when a row counts as done, as
+//     progress, and as the worker's heartbeat;
+//   - a worker that crashes (or is killed) is restarted with every
+//     journaled key on --skip-rows, so no work is lost and no row runs
+//     twice;
 //   - a shard whose worker dies repeatedly is reassigned to a different
 //     worker slot (and given up on, with its log path, after
 //     max_attempts failures);
-//   - the per-shard journals are live-tailed (JournalTailer) into one
-//     aggregated rows-done count for a single progress line;
 //   - on completion the shard journals merge through the report layer
 //     into CSV/JSONL byte-identical to an un-sharded single-process run
 //     (the same guarantee reap_report gives, pinned by
 //     tests/campaign/test_dispatch.cpp and the CI dispatch smoke).
 //
 // Because every shard journals into work_dir, the dispatcher itself is
-// resumable: re-running it with the same spec and work_dir re-launches
-// the workers, which skip every journaled row.
+// resumable: re-running it with the same spec and work_dir loads each
+// journal (healing a torn tail or corrupt lines), completes the shards
+// whose journals already cover them without launching anything, and
+// launches the rest with their journaled keys skipped. A journal append
+// that fails (EIO, ENOSPC) stops the dispatch at a row boundary; re-run
+// to resume.
 //
 // PR 6 extends supervision beyond crash faults:
 //
-//   - a progress *watchdog* (stall_timeout): each worker's heartbeat is
-//     its journal tailer offset; a worker whose journal stops growing
+//   - a progress *watchdog* (stall_timeout): a worker that lands no row
 //     for too long is sent SIGTERM (graceful: it flushes and exits at a
 //     row boundary), then SIGKILL after kill_grace, and restarts as an
 //     ordinary failed attempt;
@@ -45,21 +52,19 @@
 //     dispatch; the other shards finish and the result reports the
 //     worst condition seen (see DispatchStatus / exit_codes.hpp).
 //
-// This PR abstracts *where* workers run behind WorkerTransport
-// (transport.hpp): the slot pool is the concatenation of every
-// transport's slots, remote workers stream their journal rows into the
-// local shard journals, and machine-level failures (lost connection,
-// stalled stream, unreachable host) are counted per *host* -- a host
-// that fails host_max_failures times in a row is lost (drained from the
-// pool, its shards redistributed to the survivors), and a run that
-// finished despite losing hosts reports DispatchStatus::host_lost.
+// Workers run on hosts (WorkerTransport, transport.hpp): the slot pool
+// is the concatenation of every host's slots, and machine-level failures
+// (lost connection, stalled stream, unreachable host) are counted per
+// *host* -- a host that fails host_max_failures times in a row is lost
+// (drained from the pool, its shards redistributed to the survivors),
+// and a run that finished despite losing hosts reports
+// DispatchStatus::host_lost.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -115,11 +120,11 @@ struct DispatchOptions {
   // that crashes midway but lands rows is converging, not failing.
   std::size_t max_attempts = 3;
 
-  // Supervisor poll cadence: child liveness + journal tailing.
+  // Supervisor poll cadence: child liveness + stream ingest.
   std::chrono::milliseconds poll_interval{50};
 
-  // Progress watchdog. 0 = disabled. A worker whose journal offset is
-  // unchanged for this long is presumed wedged: it gets SIGTERM (the
+  // Progress watchdog. 0 = disabled. A worker that lands no journal row
+  // for this long is presumed wedged: it gets SIGTERM (the
   // worker's graceful path flushes and exits at a row boundary), then
   // SIGKILL once kill_grace expires, and is retried like any crash.
   // Must comfortably exceed the slowest single experiment -- the journal
@@ -146,17 +151,18 @@ struct DispatchOptions {
   // a campaign shedding rows wholesale is broken, not poisoned.
   std::size_t max_quarantine = 4;
 
-  // Where workers run. Empty = one LocalTransport over `campaign_binary`
-  // with the planned worker count (today's behavior, byte-identical).
-  // Non-empty (what --hosts builds) = the slot pool is the concatenation
-  // of every transport's slots and `workers` is ignored.
-  std::vector<std::shared_ptr<WorkerTransport>> transports;
+  // Where workers run. Empty = the `local` host running `campaign_binary`
+  // on the planned worker count, its host-side journals in
+  // <work_dir>/remote-local. Non-empty (what --hosts builds) = the slot
+  // pool is the concatenation of every transport's slots and `workers`
+  // is ignored.
+  std::vector<WorkerTransport> transports;
 
   // A host's failure budget: this many *consecutive* machine-level
   // failures (lost/stalled stream, unreachable, failed remote launch)
   // and the host is declared lost -- its slots drain from the pool and
   // its shards redistribute. A worker that completes or lands rows over
-  // an intact stream resets the count. Local transports are exempt:
+  // an intact stream resets the count. The `local` host is exempt:
   // losing the dispatcher's own machine is not a recoverable event.
   std::size_t host_max_failures = 3;
 
@@ -182,7 +188,8 @@ struct DispatchOptions {
   // (attempt 0 is the first try); on_worker_exit fires when one ends --
   // `ok` means "exited 0 with a complete shard journal", and on failure
   // `will_retry` distinguishes a restart from the shard being abandoned;
-  // on_shard_rows fires when tailing observes a shard's journal growing.
+  // on_shard_rows fires each time a streamed row is appended to a shard
+  // journal, with the shard's journaled row count.
   std::function<void(std::size_t shard, std::size_t attempt,
                      std::size_t slot, long pid)>
       on_spawn;
@@ -225,7 +232,7 @@ struct ShardOutcome {
   std::size_t shard = 0;
   std::size_t attempts = 0;  // worker launches consumed
   bool completed = false;
-  std::size_t rows = 0;  // journaled rows observed (== shard size if done)
+  std::size_t rows = 0;  // journaled rows (== shard size if done)
   std::string journal_path;
   std::string log_path;
 };
@@ -252,8 +259,7 @@ struct DispatchResult {
 // exists) for journals of a previous run -- their recorded shard split
 // wins over opts.jobs/workers (shards are meaningless under a different
 // N), and every readable journal's spec hash must match `spec` or the
-// plan fails up front with the real reason instead of letting workers
-// burn their attempts on 'cannot resume' exits. Shared by
+// plan fails up front with the real reason. Shared by
 // Dispatcher::run and the CLI's --dry-run so the printed plan cannot
 // drift from the executed one.
 struct DispatchPlan {
@@ -271,8 +277,7 @@ class Dispatcher {
   // `spec_kv` is the fully resolved key/value spec (what spec_kv_from_cli
   // returns). The dispatcher expands it locally for the shard plan and
   // forwards it to every worker as --key=value flags, so supervisor and
-  // workers parse the identical spec (and the workers' journal spec-hash
-  // check would refuse any drift).
+  // workers parse the identical spec.
   Dispatcher(std::map<std::string, std::string> spec_kv,
              DispatchOptions opts);
 

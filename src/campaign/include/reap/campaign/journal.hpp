@@ -31,7 +31,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "reap/campaign/result_sink.hpp"
@@ -128,7 +127,9 @@ std::optional<JournalHeader> read_journal_header(const std::string& path,
 
 // Atomically replaces `path` with a clean serialization of `j` (temp file
 // + rename). Resume uses this to drop a torn tail before appending -- new
-// rows written after an unterminated line would corrupt both.
+// rows written after an unterminated line would corrupt both. It writes
+// a new file rather than appending rows, so the `journal.write` fault
+// site does not fire here.
 bool rewrite_journal(const std::string& path, const Journal& j,
                      std::string* error = nullptr);
 
@@ -140,39 +141,26 @@ bool journal_compatible(const JournalHeader& header, const CampaignSpec& spec,
                         std::size_t n_points, std::size_t shard_index,
                         std::size_t shard_count, std::string* why = nullptr);
 
-// Incrementally tails a journal that another process is appending to --
-// the live-progress primitive of reap_dispatch. Each poll() scans only
-// the bytes appended since the previous poll and reports the keys of
-// newly completed rows. Tolerant of everything a live worker journal
-// does: the file not existing yet (worker still starting), a torn tail
-// (the in-flight line stays unreported until its '\n' lands), and the
-// file *shrinking* (a resumed worker's atomic torn-tail rewrite) -- a
-// shrink restarts the scan from byte 0, and the per-key dedupe set keeps
-// already-reported rows from being counted twice.
-class JournalTailer {
- public:
-  explicit JournalTailer(std::string path);
+// Prepares an existing journal for appending more rows of the same run:
+// read_journal, then journal_compatible, then -- when the tail is torn or
+// lines are corrupt -- rewrite_journal down to the parsed rows. The
+// returned Journal still reports what was healed (truncated_tail,
+// corrupt). Returns nullopt and sets `error` when the file is unreadable,
+// records a different run, or cannot be rewritten. Shared by
+// reap_campaign --resume and the dispatcher's startup.
+std::optional<Journal> reopen_journal(const std::string& path,
+                                      const CampaignSpec& spec,
+                                      std::size_t n_points,
+                                      std::size_t shard_index,
+                                      std::size_t shard_count,
+                                      std::string* error = nullptr);
 
-  // Returns the keys of rows completed since the last poll (possibly
-  // empty). Malformed complete lines and rows whose CRC does not verify
-  // are skipped, not fatal: a live file is allowed to be mid-anything.
-  std::vector<std::string> poll();
-
-  // Distinct row keys observed so far (header line excluded).
-  std::size_t rows_seen() const { return seen_.size(); }
-
-  // Bytes consumed through the last complete line. The dispatcher's
-  // watchdog uses this as a worker heartbeat: an offset that stops
-  // moving is a worker that stopped writing.
-  std::uint64_t offset() const { return offset_; }
-
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-  std::uint64_t offset_ = 0;  // bytes consumed through the last complete line
-  std::unordered_set<std::string> seen_;
-};
+// Parses one journal row line against `columns`, verifying its CRC32C
+// when it carries one. nullopt for anything read_journal would not
+// accept as a row. The dispatcher vets every streamed row with this
+// before appending it.
+std::optional<JournalRow> parse_journal_row(
+    const std::string& line, const std::vector<std::string>& columns);
 
 // Concatenates completion-order row batches, drops duplicate keys (first
 // occurrence wins), and sorts by grid index: the merge step that turns a

@@ -1,41 +1,40 @@
 // Worker transports: how the dispatcher launches and observes workers.
 //
-// The dispatcher's supervision loop (tail journals, watchdog stalls,
-// restart with backoff, quarantine poison) does not care *where* a
-// `reap_campaign` worker runs -- only that rows land in a local journal
-// it can tail. A WorkerTransport owns that difference:
+// Every worker, on every host, runs the same way: `reap_campaign
+// --journal=<host dir>/shard_<i>.journal --journal-stdout
+// --skip-rows=...`. It journals to its own disk and mirrors every
+// journal line over stdout as CRC32C-framed records (common/frame.hpp).
+// A WorkerTransport only decides how that argv is launched on its host:
 //
-//   LocalTransport  today's path: fork/exec the binary, journal written
-//                   directly to the shard's local journal via --resume.
-//   SshTransport    the worker runs on a remote host (launched through
-//                   an ssh-style command). It journals to its *own*
-//                   disk and mirrors every journal line over stdout as
-//                   CRC32C-framed records (reap_campaign
-//                   --journal-stdout, common/frame.hpp); the transport
-//                   decodes the stream and appends intact rows to the
-//                   authoritative local journal. The tailer, watchdog,
-//                   and byte-identical merge then work unchanged.
+//   local       the dispatcher's own machine: the argv is exec'd
+//               directly (empty launcher prefix);
+//   any other   wrapped in the host's ssh-style command, run by the
+//               remote shell.
 //
-// Failure mapping is the point of the design: a dropped connection, a
-// stalled stream, and a corrupted frame all leave the local journal a
-// durable prefix of the shard's work, so the existing restart machinery
-// recovers them -- relaunch the shard, skip the rows that made it,
-// re-run the rest. Remote attempts always start a fresh remote journal
-// and are told what is already done via --skip-rows, so a reconnect
-// never duplicates a row. Hosts that keep failing are quarantined by
-// the dispatcher (drained from the slot pool); see dispatch.hpp.
+// The WorkerHandle decodes the stream and hands the verified payloads to
+// the dispatcher, which is the only writer of the authoritative shard
+// journals in its work dir (see dispatch.hpp). A dropped connection, a
+// stalled stream, and a corrupted frame therefore all leave the shard
+// journal a durable prefix of the shard's work, so the ordinary restart
+// machinery recovers them -- relaunch the shard, skip the rows that made
+// it, re-run the rest. Every attempt starts a fresh host-side journal
+// and is told what is already done via --skip-rows, so a relaunch never
+// duplicates a row. Hosts that keep failing are quarantined by the
+// dispatcher (drained from the slot pool).
 //
-// Fault sites `transport.connect` (handshake/launch) and
+// Fault sites `transport.connect` (remote handshake/launch) and
 // `transport.stream` (the journal stream), with kinds drop/stall/
 // garble, drive every one of these paths in tests.
 #pragma once
 
 #include <cstddef>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "reap/common/frame.hpp"
 #include "reap/common/subprocess.hpp"
 
 namespace reap::campaign {
@@ -48,7 +47,7 @@ namespace reap::campaign {
 // campaign binary and <work_dir>/remote-<host>; `ssh` is the command the
 // host is reached through (default "ssh", split on spaces -- a test stub
 // like tools/fake_ssh.sh slots in here). The reserved host name "local"
-// runs its slots in-process-host through LocalTransport.
+// is the dispatcher's own machine: no ssh, `ssh=` is ignored.
 struct HostSpec {
   std::string name;
   std::size_t slots = 1;
@@ -69,48 +68,54 @@ std::optional<std::vector<HostSpec>> parse_hosts_file(
 // dispatcher fills it; the transport turns it into an argv.
 struct WorkerPlan {
   std::size_t shard = 0;
-  // Spec/shard/threads/trace flags, transport-independent. The transport
-  // adds the journal and row-exclusion flags itself, because those are
-  // where local and remote execution genuinely differ.
+  // Spec/shard/threads/trace flags. The transport adds the worker-side
+  // journal and --journal-stdout flags itself.
   std::vector<std::string> flags;
-  // Keys the attempt must not run (quarantined + probe exclusions).
+  // Keys the attempt must not run: quarantined, excluded by a probe, or
+  // already in the shard journal (--skip-rows).
   std::vector<std::string> skip;
-  // Keys already durable in the local journal. Local workers skip them
-  // via --resume on that same journal; remote workers (fresh remote
-  // journal every attempt) get them appended to --skip-rows.
-  std::vector<std::string> done;
-  std::string journal_path;  // authoritative local journal
   std::string log_path;
 };
 
-// One running worker, however it runs. poll()/kill() mirror
-// common::Child; pump()/drain() give stream-backed workers a place to
-// move bytes from the wire into the local journal (no-ops for local
-// workers). Destroying a handle kills and reaps whatever is running.
+// One running worker: the launched process plus the read end of its
+// framed stdout stream. poll()/kill() mirror common::Child. Destroying a
+// handle kills and reaps whatever is running.
 class WorkerHandle {
  public:
-  virtual ~WorkerHandle() = default;
+  WorkerHandle(common::Child child, int fd, std::string host,
+               const std::string& log_path);
+  WorkerHandle(const WorkerHandle&) = delete;
+  WorkerHandle& operator=(const WorkerHandle&) = delete;
+  ~WorkerHandle();
 
-  virtual long pid() const = 0;
-  virtual std::optional<common::ExitStatus> poll() = 0;
-  virtual bool kill(int sig = 9) = 0;
+  long pid() const { return child_.pid(); }
+  std::optional<common::ExitStatus> poll() { return child_.poll(); }
+  bool kill(int sig = 9) { return child_.kill(sig); }
 
-  // Called every supervisor tick while the worker runs: consume whatever
-  // the stream has buffered (never blocks).
-  virtual void pump() {}
-
-  // Called once after poll() reports an exit: consume the stream's
-  // remainder so rows that landed just before death are not lost.
-  virtual void drain() {}
+  // Consumes whatever the stream has buffered (never blocks) and returns
+  // the intact frame payloads -- journal lines, header first -- in stream
+  // order. Lines that are not frames go to the shard log. Called every
+  // supervisor tick, and once more after poll() reports an exit so the
+  // rows that landed just before death are not lost.
+  std::vector<std::string> pump();
 
   // Whether `status` says the *machine/connection* failed (stream lost,
   // stalled, ssh's exit 255) rather than the worker itself -- what the
   // dispatcher counts toward quarantining the host instead of burning
   // the shard's failure budget.
-  virtual bool host_failure(const common::ExitStatus& status) const {
-    (void)status;
-    return false;
-  }
+  bool host_failure(const common::ExitStatus& status) const;
+
+ private:
+  void sever();
+
+  common::Child child_;
+  int fd_ = -1;
+  std::string host_;
+  common::FrameParser parser_;
+  std::ofstream log_;  // stream noise lands with the worker's stderr
+  bool stream_lost_ = false;
+  bool stalled_ = false;
+  bool garble_ = false;
 };
 
 enum class HandshakeStatus {
@@ -120,71 +125,36 @@ enum class HandshakeStatus {
                 // error (fleet skew corrupts the merge), never degraded
 };
 
+// Launches workers on one host. The caller must resolve remote_binary
+// and remote_dir before constructing. The host `local` has an empty
+// launcher prefix: its worker argv is exec'd directly, so a missing
+// binary fails the launch synchronously (`cannot exec`). Every other
+// host wraps the argv in its ssh command.
 class WorkerTransport {
  public:
-  virtual ~WorkerTransport() = default;
+  explicit WorkerTransport(HostSpec spec);
 
-  virtual const std::string& host() const = 0;
-  virtual std::size_t slots() const = 0;
-  virtual bool local() const = 0;
+  const std::string& host() const { return spec_.name; }
+  std::size_t slots() const { return spec_.slots; }
+  bool local() const { return spec_.name == "local"; }
 
-  // Pre-flight check, once per dispatch. Remote transports verify the
-  // worker binary answers --version with `expected_version` (empty =
-  // don't check) and probe `trace_dir` (empty = don't probe); a missing
-  // trace dir is reported once through `note` and the transport launches
-  // workers without --trace-dir (falling back to generation) instead of
-  // silently diverging. `error` is set for both failure statuses.
-  virtual HandshakeStatus handshake(const std::string& expected_version,
-                                    const std::string& trace_dir,
-                                    std::string* error,
-                                    std::string* note) = 0;
-
-  // Starts one worker for `plan`. Returns nullptr and sets `error` on
-  // failure; `transient` follows Child::spawn's retry classification.
-  virtual std::unique_ptr<WorkerHandle> launch(const WorkerPlan& plan,
-                                               std::string* error,
-                                               bool* transient) = 0;
-};
-
-// Today's path, unchanged semantics: fork/exec `binary` with the shard
-// journal and --resume; stdout+stderr go to the shard log.
-class LocalTransport final : public WorkerTransport {
- public:
-  LocalTransport(std::string binary, std::size_t slots);
-
-  const std::string& host() const override { return host_; }
-  std::size_t slots() const override { return slots_; }
-  bool local() const override { return true; }
-  HandshakeStatus handshake(const std::string&, const std::string&,
-                            std::string*, std::string*) override {
-    return HandshakeStatus::ok;
-  }
-  std::unique_ptr<WorkerHandle> launch(const WorkerPlan& plan,
-                                       std::string* error,
-                                       bool* transient) override;
-
- private:
-  std::string binary_;
-  std::size_t slots_;
-  std::string host_ = "local";
-};
-
-// Launches workers on `spec.name` through `spec.ssh_command` and feeds
-// their framed stdout stream into the local shard journal. The caller
-// must resolve remote_binary and remote_dir before constructing.
-class SshTransport final : public WorkerTransport {
- public:
-  explicit SshTransport(HostSpec spec);
-
-  const std::string& host() const override { return spec_.name; }
-  std::size_t slots() const override { return spec_.slots; }
-  bool local() const override { return false; }
+  // Pre-flight check, once per dispatch. A remote host must answer
+  // --version with `expected_version` (empty = don't check), and
+  // `trace_dir` (empty = don't probe) is probed on its side; a missing
+  // trace dir is reported once through `note` and the host's workers
+  // launch without --trace-dir (falling back to generation) instead of
+  // silently diverging. `error` is set for both failure statuses. The
+  // dispatcher's own machine (`local`) is not probed.
   HandshakeStatus handshake(const std::string& expected_version,
                             const std::string& trace_dir, std::string* error,
-                            std::string* note) override;
+                            std::string* note);
+
+  // Starts one worker for `plan`: it journals to
+  // <remote_dir>/shard_<i>.journal and streams every journal line over
+  // stdout (--journal-stdout). Returns nullptr and sets `error` on
+  // failure; `transient` follows Child::spawn's retry classification.
   std::unique_ptr<WorkerHandle> launch(const WorkerPlan& plan,
-                                       std::string* error,
-                                       bool* transient) override;
+                                       std::string* error, bool* transient);
 
  private:
   std::vector<std::string> ssh_argv(const std::string& remote_cmd) const;

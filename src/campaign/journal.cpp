@@ -135,6 +135,27 @@ RowParse parse_row(const std::string& line,
                                                     : RowParse::malformed;
 }
 
+std::string header_line(const JournalHeader& h) {
+  return "{\"format\":\"" + common::json_escape(h.format) +
+         "\",\"name\":\"" + common::json_escape(h.name) +
+         "\",\"spec_hash\":\"" + common::fmt_hex64(h.spec_hash) +
+         "\",\"points\":" + std::to_string(h.points) +
+         ",\"shard_index\":" + std::to_string(h.shard_index) +
+         ",\"shard_count\":" + std::to_string(h.shard_count) +
+         ",\"columns\":\"" + common::json_escape(join(h.columns, ',')) +
+         "\"}";
+}
+
+// One v2 row line, newline included.
+std::string row_line(const std::vector<std::string>& columns,
+                     const std::string& key,
+                     const std::vector<std::string>& cells) {
+  const std::string body = "{\"key\":\"" + common::json_escape(key) + "\"," +
+                           jsonl_fields(columns, cells) + "}";
+  return body.substr(0, body.size() - 1) + kCrcSuffix +
+         common::fmt_hex32(common::crc32c(body)) + "\"}\n";
+}
+
 }  // namespace
 
 JournalHeader JournalHeader::for_run(const CampaignSpec& spec,
@@ -155,15 +176,7 @@ JournalWriter::JournalWriter(const std::string& path,
                              const JournalHeader& header)
     : out_(path, std::ios::trunc), columns_(header.columns) {
   if (!out_) return;
-  header_line_ =
-      "{\"format\":\"" + common::json_escape(header.format) +
-      "\",\"name\":\"" + common::json_escape(header.name) +
-      "\",\"spec_hash\":\"" + common::fmt_hex64(header.spec_hash) +
-      "\",\"points\":" + std::to_string(header.points) +
-      ",\"shard_index\":" + std::to_string(header.shard_index) +
-      ",\"shard_count\":" + std::to_string(header.shard_count) +
-      ",\"columns\":\"" + common::json_escape(join(header.columns, ',')) +
-      "\"}";
+  header_line_ = header_line(header);
   out_ << header_line_ << '\n';
   out_.flush();
 }
@@ -187,11 +200,7 @@ void JournalWriter::add(const std::string& key,
   // rows after a hole and break "journal = durable prefix of the run".
   if (!out_ || io_errno_ != 0) return;
 
-  const std::string body = "{\"key\":\"" + common::json_escape(key) + "\"," +
-                           jsonl_fields(columns_, cells) + "}";
-  const std::string line =
-      body.substr(0, body.size() - 1) + kCrcSuffix +
-      common::fmt_hex32(common::crc32c(body)) + "\"}\n";
+  const std::string line = row_line(columns_, key, cells);
 
   if (const auto f = common::fault::hit("journal.write", key)) {
     if (f->kind == common::fault::Kind::torn_write) {
@@ -283,12 +292,15 @@ bool rewrite_journal(const std::string& path, const Journal& j,
   {
     // Only parsed rows are re-serialized, so a rewrite heals corrupt
     // lines along with the torn tail -- and upgrades v1 files to v2,
-    // since the writer always emits checksummed rows.
+    // since rows are always written checksummed.
     JournalHeader header = j.header;
     header.format = "reap-journal-v2";
-    JournalWriter writer(tmp, header);
-    for (const auto& row : j.rows) writer.add(row.key, row.cells);
-    if (!writer.ok()) return fail(error, "cannot write " + tmp);
+    std::ofstream out(tmp, std::ios::trunc);
+    out << header_line(header) << '\n';
+    for (const auto& row : j.rows)
+      out << row_line(header.columns, row.key, row.cells);
+    out.flush();
+    if (!out) return fail(error, "cannot write " + tmp);
   }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
@@ -321,58 +333,34 @@ bool journal_compatible(const JournalHeader& header, const CampaignSpec& spec,
   return true;
 }
 
-JournalTailer::JournalTailer(std::string path) : path_(std::move(path)) {}
-
-std::vector<std::string> JournalTailer::poll() {
-  std::vector<std::string> fresh;
-  // An injected read fault models a flaky shared filesystem: the poll
-  // sees nothing this round and simply retries later.
-  if (common::fault::hit("tailer.read", path_)) return fresh;
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path_, ec);
-  if (ec) return fresh;  // not created yet (worker still starting)
-  // A shrink is resume's atomic torn-tail rewrite landing: the bytes at
-  // our offset are no longer the bytes we consumed, so rescan from the
-  // start. `seen_` keeps rescanned rows from being re-reported.
-  if (size < offset_) offset_ = 0;
-  if (size == offset_) return fresh;
-
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return fresh;
-  in.seekg(static_cast<std::streamoff>(offset_));
-  std::string appended(static_cast<std::size_t>(size - offset_), '\0');
-  in.read(appended.data(), static_cast<std::streamsize>(appended.size()));
-  appended.resize(static_cast<std::size_t>(in.gcount()));
-
-  // Consume only through the last newline: everything after it is a line
-  // still being written.
-  const auto last_nl = appended.rfind('\n');
-  if (last_nl == std::string::npos) return fresh;
-  std::size_t pos = 0;
-  while (pos <= last_nl) {
-    const auto nl = appended.find('\n', pos);
-    const std::string line = appended.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    // Rows lead with a "key" field; the header line (and any malformed
-    // mid-flight content) does not and is skipped. A checksummed row
-    // that fails to verify is damage, not progress: skip it unseen so
-    // the supervisor still counts that point as outstanding.
-    std::string body = line;
-    std::string hex;
-    if (split_crc(line, body, hex)) {
-      std::uint32_t stored = 0;
-      if (!common::parse_hex32(hex, stored) ||
-          common::crc32c(body) != stored)
-        continue;
-    }
-    const auto fields = common::parse_jsonl_line(body);
-    if (!fields || fields->empty() || (*fields)[0].first != "key") continue;
-    if (seen_.insert((*fields)[0].second).second)
-      fresh.push_back((*fields)[0].second);
+std::optional<Journal> reopen_journal(const std::string& path,
+                                      const CampaignSpec& spec,
+                                      std::size_t n_points,
+                                      std::size_t shard_index,
+                                      std::size_t shard_count,
+                                      std::string* error) {
+  auto j = read_journal(path, error);
+  if (!j) return std::nullopt;
+  std::string why;
+  if (!journal_compatible(j->header, spec, n_points, shard_index,
+                          shard_count, &why)) {
+    fail(error, why);
+    return std::nullopt;
   }
-  offset_ += last_nl + 1;
-  return fresh;
+  // Heal before appending: new rows written after an unterminated line
+  // would corrupt both, and re-serializing only the parsed rows drops
+  // the corrupt ones for good.
+  if ((j->truncated_tail || !j->corrupt.empty()) &&
+      !rewrite_journal(path, *j, error))
+    return std::nullopt;
+  return j;
+}
+
+std::optional<JournalRow> parse_journal_row(
+    const std::string& line, const std::vector<std::string>& columns) {
+  JournalRow row;
+  if (parse_row(line, columns, row) != RowParse::ok) return std::nullopt;
+  return row;
 }
 
 std::vector<JournalRow> merge_journal_rows(std::vector<JournalRow> a,

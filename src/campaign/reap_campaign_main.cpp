@@ -245,15 +245,10 @@ int main(int argc, char** argv) {
   std::vector<campaign::JournalRow> prior;
   bool append_journal = false;
   if (resume && std::filesystem::exists(journal_path)) {
-    auto loaded = campaign::read_journal(journal_path, &error);
+    auto loaded = campaign::reopen_journal(journal_path, *spec, points.size(),
+                                           shard_index, shard_count, &error);
     if (!loaded) {
       std::fprintf(stderr, "cannot resume: %s\n", error.c_str());
-      return 1;
-    }
-    std::string why;
-    if (!campaign::journal_compatible(loaded->header, *spec, points.size(),
-                                      shard_index, shard_count, &why)) {
-      std::fprintf(stderr, "cannot resume: %s\n", why.c_str());
       return 1;
     }
     if (loaded->truncated_tail)
@@ -265,15 +260,6 @@ int main(int argc, char** argv) {
                    "note: journal line %zu is corrupt (%s); skipped, its "
                    "row will re-run\n",
                    bad.line_no, bad.reason.c_str());
-    if (loaded->truncated_tail || !loaded->corrupt.empty()) {
-      // Heal the journal before appending: new rows written after an
-      // unterminated line would corrupt both, and re-serializing only
-      // the parsed rows drops the corrupt ones for good.
-      if (!campaign::rewrite_journal(journal_path, *loaded, &error)) {
-        std::fprintf(stderr, "cannot resume: %s\n", error.c_str());
-        return 1;
-      }
-    }
     prior = campaign::merge_journal_rows(std::move(loaded->rows), {});
     append_journal = true;
   } else if (resume) {

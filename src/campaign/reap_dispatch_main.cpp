@@ -1,9 +1,10 @@
 // reap_dispatch: one-command distributed campaign. Expands a spec, splits
 // it into shards, keeps a pool of reap_campaign worker processes busy
-// (restarting crashed workers from their journals, reassigning shards
-// whose workers keep dying), live-tails the shard journals into one
-// progress line, and merges the journals into CSV/JSONL/figures
-// byte-identical to a single-process run. See docs/campaign.md.
+// (restarting crashed workers past their journaled rows, reassigning
+// shards whose workers keep dying), journals every row the workers stream
+// back, reports one progress line, and merges the journals into
+// CSV/JSONL/figures byte-identical to a single-process run. See
+// docs/campaign.md.
 //
 // Usage:
 //   reap_dispatch --spec=specs/fig5.spec --workers=8 --csv=fig5.csv
@@ -58,9 +59,10 @@ int main(int argc, char** argv) {
   }
 
   // Fault injection (chaos testing). --inject-fault arms sites in *this*
-  // process (worker.spawn, tailer.read); REAP_FAULT is inherited by the
-  // spawned workers too, so worker-side sites (runner.point,
-  // journal.write, ...) are armed through the environment.
+  // process only (worker.spawn, transport.*, and journal.write on the
+  // shard journals the dispatcher appends to); REAP_FAULT is inherited by
+  // the spawned workers too, so worker-side sites (runner.point, ...) are
+  // armed through the environment.
   {
     std::string ferr;
     if (!common::fault::arm_from_env(&ferr)) {
@@ -116,17 +118,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (auto h : *hosts) {
-      if (h.name == "local") {
-        opts.transports.push_back(std::make_shared<campaign::LocalTransport>(
-            h.remote_binary.empty() ? opts.campaign_binary : h.remote_binary,
-            h.slots));
-        continue;
-      }
       if (h.remote_binary.empty()) h.remote_binary = opts.campaign_binary;
       if (h.remote_dir.empty())
         h.remote_dir = opts.work_dir + "/remote-" + h.name;
-      opts.transports.push_back(
-          std::make_shared<campaign::SshTransport>(std::move(h)));
+      opts.transports.emplace_back(std::move(h));
     }
     opts.expected_worker_version =
         campaign::build_info_line("reap_campaign");

@@ -69,146 +69,6 @@ std::string shq(const std::string& s) {
   return out;
 }
 
-// The worker running remotely, its framed stdout stream feeding the
-// authoritative local journal. The Child here is the ssh process; with
-// the test stub (and `exec` in the remote command) it *is* the worker.
-class SshWorker final : public WorkerHandle {
- public:
-  SshWorker(common::Child child, int fd, std::string host,
-            const std::string& journal_path, const std::string& log_path)
-      : child_(std::move(child)),
-        fd_(fd),
-        host_(std::move(host)),
-        journal_path_(journal_path) {
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(journal_path, ec);
-    // Only the first attempt writes the header; every remote attempt
-    // mirrors one (fresh remote journal), so later ones are dropped.
-    want_header_ = ec || size == 0;
-    log_.open(log_path, std::ios::app);
-  }
-
-  ~SshWorker() override {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  long pid() const override { return child_.pid(); }
-  std::optional<common::ExitStatus> poll() override { return child_.poll(); }
-  bool kill(int sig) override { return child_.kill(sig); }
-
-  void pump() override { pump_stream(); }
-  void drain() override { pump_stream(); }
-
-  bool host_failure(const common::ExitStatus& status) const override {
-    // 255 is ssh's own "connection/authentication failed" exit -- the
-    // one code that can never be the worker's.
-    return stream_lost_ || stalled_ ||
-           (status.exited && status.code == 255);
-  }
-
- private:
-  // The connection died: whatever is in flight is gone, and the remote
-  // side is unreachable -- kill our end so poll() reports the loss.
-  void sever() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    stream_lost_ = true;
-    child_.kill(9);
-  }
-
-  void pump_stream() {
-    if (const auto f = common::fault::hit("transport.stream", host_)) {
-      switch (f->kind) {
-        case common::fault::Kind::stall:
-          // The stream freezes open: bytes stop, the connection does
-          // not close. Only the dispatcher's watchdog can notice.
-          stalled_ = true;
-          break;
-        case common::fault::Kind::garble:
-          garble_ = true;  // corrupt the next chunk read off the wire
-          break;
-        default:
-          sever();  // drop (and any I/O kind): the connection is gone
-          break;
-      }
-    }
-    if (stalled_ || fd_ < 0) return;
-    char buf[4096];
-    for (;;) {
-      const auto n = ::read(fd_, buf, sizeof buf);
-      if (n > 0) {
-        if (garble_) {
-          buf[0] ^= 0x01;
-          garble_ = false;
-        }
-        parser_.feed(std::string_view(buf, static_cast<std::size_t>(n)));
-        deliver();
-        continue;
-      }
-      if (n == 0) {  // EOF: remote stdout closed cleanly
-        ::close(fd_);
-        fd_ = -1;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      sever();
-      break;
-    }
-  }
-
-  void deliver() {
-    for (const auto& p : parser_.take_payloads()) {
-      const bool is_header = p.rfind("{\"format\":", 0) == 0;
-      if (is_header) {
-        if (!want_header_) continue;  // a later attempt's header: dup
-      } else if (want_header_) {
-        // A row cannot land before a header (the journal would be
-        // unreadable); if the header frame was lost, drop the row -- the
-        // shard re-runs it on the next attempt, which mirrors a fresh
-        // header first.
-        continue;
-      }
-      // Open lazily on the first verified payload: an attempt that dies
-      // before delivering anything must not leave an empty journal file
-      // behind -- a local-transport retry would refuse to --resume it.
-      if (!journal_.is_open()) journal_.open(journal_path_, std::ios::app);
-      journal_ << p << '\n';
-      journal_.flush();
-      if (is_header) want_header_ = false;
-    }
-    const auto noise = parser_.take_noise();
-    for (const auto& line : noise) log_ << line << '\n';
-    if (!noise.empty()) log_.flush();
-  }
-
-  common::Child child_;
-  int fd_ = -1;
-  std::string host_;
-  common::FrameParser parser_;
-  std::string journal_path_;
-  std::ofstream journal_;  // local authoritative journal (append)
-  std::ofstream log_;      // stream noise lands with the worker's stderr
-  bool want_header_ = true;
-  bool stream_lost_ = false;
-  bool stalled_ = false;
-  bool garble_ = false;
-};
-
-// The local worker is just a Child; the stream hooks stay no-ops.
-class LocalWorker final : public WorkerHandle {
- public:
-  explicit LocalWorker(common::Child child) : child_(std::move(child)) {}
-  long pid() const override { return child_.pid(); }
-  std::optional<common::ExitStatus> poll() override { return child_.poll(); }
-  bool kill(int sig) override { return child_.kill(sig); }
-
- private:
-  common::Child child_;
-};
-
 }  // namespace
 
 std::optional<std::vector<HostSpec>> parse_hosts(const std::string& text,
@@ -273,29 +133,81 @@ std::optional<std::vector<HostSpec>> parse_hosts_file(const std::string& path,
   return parse_hosts(text, error);
 }
 
-LocalTransport::LocalTransport(std::string binary, std::size_t slots)
-    : binary_(std::move(binary)), slots_(std::max<std::size_t>(slots, 1)) {}
-
-std::unique_ptr<WorkerHandle> LocalTransport::launch(const WorkerPlan& plan,
-                                                     std::string* error,
-                                                     bool* transient) {
-  std::vector<std::string> argv = {binary_};
-  argv.insert(argv.end(), plan.flags.begin(), plan.flags.end());
-  argv.push_back("--journal=" + plan.journal_path);
-  argv.push_back("--resume");
-  if (!plan.skip.empty())
-    argv.push_back("--skip-rows=" + join(plan.skip, ','));
-  auto child = common::Child::spawn(argv, plan.log_path, error, transient);
-  if (!child) return nullptr;
-  return std::make_unique<LocalWorker>(std::move(*child));
+WorkerHandle::WorkerHandle(common::Child child, int fd, std::string host,
+                           const std::string& log_path)
+    : child_(std::move(child)), fd_(fd), host_(std::move(host)) {
+  log_.open(log_path, std::ios::app);
 }
 
-SshTransport::SshTransport(HostSpec spec) : spec_(std::move(spec)) {
+WorkerHandle::~WorkerHandle() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+bool WorkerHandle::host_failure(const common::ExitStatus& status) const {
+  // 255 is ssh's own "connection/authentication failed" exit -- the one
+  // code that can never be the worker's.
+  return stream_lost_ || stalled_ || (status.exited && status.code == 255);
+}
+
+// The connection died: whatever is in flight is gone, and the other side
+// is unreachable -- kill our end so poll() reports the loss.
+void WorkerHandle::sever() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+  stream_lost_ = true;
+  child_.kill(9);
+}
+
+std::vector<std::string> WorkerHandle::pump() {
+  if (const auto f = common::fault::hit("transport.stream", host_)) {
+    switch (f->kind) {
+      case common::fault::Kind::stall:
+        // The stream freezes open: bytes stop, the connection does not
+        // close. Only the dispatcher's watchdog can notice.
+        stalled_ = true;
+        break;
+      case common::fault::Kind::garble:
+        garble_ = true;  // corrupt the next chunk read off the wire
+        break;
+      default:
+        sever();  // drop (and any I/O kind): the connection is gone
+        break;
+    }
+  }
+  char buf[4096];
+  while (!stalled_ && fd_ >= 0) {
+    const auto n = ::read(fd_, buf, sizeof buf);
+    if (n > 0) {
+      if (garble_) {
+        buf[0] ^= 0x01;
+        garble_ = false;
+      }
+      parser_.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+      continue;
+    }
+    if (n == 0) {  // EOF: the worker's stdout closed cleanly
+      ::close(fd_);
+      fd_ = -1;
+      break;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    sever();
+  }
+  const auto noise = parser_.take_noise();
+  for (const auto& line : noise) log_ << line << '\n';
+  if (!noise.empty()) log_.flush();
+  return parser_.take_payloads();
+}
+
+WorkerTransport::WorkerTransport(HostSpec spec) : spec_(std::move(spec)) {
   if (spec_.ssh_command.empty()) spec_.ssh_command = "ssh";
   if (spec_.slots == 0) spec_.slots = 1;
 }
 
-std::vector<std::string> SshTransport::ssh_argv(
+std::vector<std::string> WorkerTransport::ssh_argv(
     const std::string& remote_cmd) const {
   // Mimic ssh's calling convention: the remote command is one argument,
   // run by the remote shell (which is why every operand is shq()ed).
@@ -305,10 +217,11 @@ std::vector<std::string> SshTransport::ssh_argv(
   return argv;
 }
 
-HandshakeStatus SshTransport::handshake(const std::string& expected_version,
-                                        const std::string& trace_dir,
-                                        std::string* error,
-                                        std::string* note) {
+HandshakeStatus WorkerTransport::handshake(const std::string& expected_version,
+                                           const std::string& trace_dir,
+                                           std::string* error,
+                                           std::string* note) {
+  if (local()) return HandshakeStatus::ok;
   bool garble = false;
   if (const auto f = common::fault::hit("transport.connect", spec_.name)) {
     if (f->kind == common::fault::Kind::garble) {
@@ -378,43 +291,55 @@ HandshakeStatus SshTransport::handshake(const std::string& expected_version,
   return HandshakeStatus::ok;
 }
 
-std::unique_ptr<WorkerHandle> SshTransport::launch(const WorkerPlan& plan,
-                                                   std::string* error,
-                                                   bool* transient) {
+std::unique_ptr<WorkerHandle> WorkerTransport::launch(const WorkerPlan& plan,
+                                                      std::string* error,
+                                                      bool* transient) {
   if (transient) *transient = false;
-  if (const auto f = common::fault::hit("transport.connect", spec_.name)) {
-    if (transient) *transient = true;  // connections come back; retry
-    fail(error, "host " + spec_.name + ": injected " +
-                    common::fault::to_string(f->kind));
-    return nullptr;
-  }
-
-  const std::string remote_journal =
-      spec_.remote_dir + "/shard_" + std::to_string(plan.shard) + ".journal";
-  // `exec` so the launcher process *is* the worker: the dispatcher's
-  // SIGTERM/SIGKILL land on the thing doing the work, not a wrapper.
-  std::string cmd = "mkdir -p " + shq(spec_.remote_dir) + " && exec " +
-                    shq(spec_.remote_binary);
+  std::vector<std::string> worker = {spec_.remote_binary};
   for (const auto& flag : plan.flags) {
     // The handshake found no trace store on this host: generation
     // fallback instead of a fleet of ENOENT deaths.
     if (trace_dir_missing_ && flag.rfind("--trace-dir=", 0) == 0) continue;
-    cmd += " " + shq(flag);
+    worker.push_back(flag);
   }
-  cmd += " " + shq("--journal=" + remote_journal);
-  cmd += " --journal-stdout";
-  // Fresh remote journal every attempt; everything already durable
-  // locally is excluded here, so a relaunch cannot duplicate a row.
-  std::vector<std::string> skip = plan.skip;
-  skip.insert(skip.end(), plan.done.begin(), plan.done.end());
-  if (!skip.empty()) cmd += " " + shq("--skip-rows=" + join(skip, ','));
+  // A fresh host-side journal every attempt; everything already in the
+  // shard journal is on the skip list, so a relaunch cannot duplicate a
+  // row.
+  worker.push_back("--journal=" + spec_.remote_dir + "/shard_" +
+                   std::to_string(plan.shard) + ".journal");
+  worker.push_back("--journal-stdout");
+  if (!plan.skip.empty())
+    worker.push_back("--skip-rows=" + join(plan.skip, ','));
+
+  std::vector<std::string> argv;
+  if (local()) {
+    std::error_code ec;
+    std::filesystem::create_directories(spec_.remote_dir, ec);
+    if (ec) {
+      fail(error, "cannot create " + spec_.remote_dir + ": " + ec.message());
+      return nullptr;
+    }
+    argv = std::move(worker);
+  } else {
+    if (const auto f = common::fault::hit("transport.connect", spec_.name)) {
+      if (transient) *transient = true;  // connections come back; retry
+      fail(error, "host " + spec_.name + ": injected " +
+                      common::fault::to_string(f->kind));
+      return nullptr;
+    }
+    // `exec` so the launcher process *is* the worker: the dispatcher's
+    // SIGTERM/SIGKILL land on the thing doing the work, not a wrapper.
+    std::string cmd = "mkdir -p " + shq(spec_.remote_dir) + " && exec";
+    for (const auto& arg : worker) cmd += " " + shq(arg);
+    argv = ssh_argv(cmd);
+  }
 
   int fd = -1;
-  auto child = common::Child::spawn_piped(ssh_argv(cmd), &fd, plan.log_path,
-                                          error, transient);
+  auto child =
+      common::Child::spawn_piped(argv, &fd, plan.log_path, error, transient);
   if (!child) return nullptr;
-  return std::make_unique<SshWorker>(std::move(*child), fd, spec_.name,
-                                     plan.journal_path, plan.log_path);
+  return std::make_unique<WorkerHandle>(std::move(*child), fd, spec_.name,
+                                        plan.log_path);
 }
 
 }  // namespace reap::campaign

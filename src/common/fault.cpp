@@ -82,10 +82,9 @@ const std::vector<std::string>& known_sites() {
       "journal.fsync",  // the flush that makes an appended row durable
       "worker.spawn",   // dispatcher launching a reap_campaign worker
       "runner.point",   // one grid point about to run (context: row key)
-      "tailer.read",    // supervisor tailing a live worker journal
       "transport.connect",  // dispatcher reaching a worker host (context:
                             // host name) -- handshake or launch
-      "transport.stream",   // the journal stream from a remote worker
+      "transport.stream",   // the journal stream from a worker
                             // (context: host name)
   };
   return sites;

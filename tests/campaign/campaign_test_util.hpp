@@ -1,13 +1,15 @@
 // Shared scaffolding for the campaign test suites: a cheap deterministic
-// stand-in for run_experiment, the 24-point acceptance grid, and file
-// helpers. One definition so the fake result model cannot silently
+// stand-in for run_experiment, the 24-point acceptance grid, and file and
+// journal helpers. One definition so the fake result model cannot silently
 // diverge between suites.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "reap/campaign/spec.hpp"
 #include "reap/core/experiment.hpp"
@@ -55,6 +57,27 @@ inline std::string file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
+}
+
+// Row keys duplicated inside any one journal would merge away silently
+// (the merge dedupes); assert the journals never contain them.
+inline void expect_no_duplicate_rows(const std::vector<std::string>& journals) {
+  for (const auto& path : journals) {
+    std::ifstream in(path);
+    EXPECT_TRUE(in) << "cannot open " << path;
+    std::set<std::string> keys;
+    std::string line;
+    while (std::getline(in, line)) {
+      const auto pos = line.find("\"key\":\"");
+      if (pos == std::string::npos) continue;  // header
+      const auto start = pos + 7;
+      const auto end = line.find('"', start);
+      ASSERT_NE(end, std::string::npos) << path << ": " << line;
+      const auto key = line.substr(start, end - start);
+      EXPECT_TRUE(keys.insert(key).second)
+          << path << " journals row '" << key << "' twice";
+    }
+  }
 }
 
 }  // namespace reap::campaign::testutil

@@ -5,7 +5,8 @@
 // is bisected to and quarantined while the rest of the campaign is
 // delivered; a hung worker is caught by the watchdog (SIGTERM, then
 // SIGKILL) and its poison pinned; journal ENOSPC/EIO and torn-write
-// crashes exit with their distinct codes and resume losslessly; SIGTERM
+// crashes exit with their distinct codes and resume losslessly -- in a
+// worker and in the dispatcher, the shard journals' only writer; SIGTERM
 // stops a run at a row boundary; and the dispatch CLI maps every outcome
 // onto its documented exit code.
 #include <gtest/gtest.h>
@@ -32,6 +33,7 @@
 namespace reap::campaign {
 namespace {
 
+using testutil::expect_no_duplicate_rows;
 using testutil::file_bytes;
 using testutil::temp_path;
 
@@ -187,6 +189,7 @@ TEST(Chaos, PoisonedPointIsQuarantinedAndTheRestDelivered) {
   const auto merged = merge_dispatch_journals(result.journal_paths(), &error);
   ASSERT_TRUE(merged) << error;
   EXPECT_EQ(merged->rows.size(), 7u);
+  expect_no_duplicate_rows(result.journal_paths());
   const auto csv = temp_path("chaos_poison_merged.csv");
   {
     CsvResultSink sink(csv);
@@ -240,6 +243,7 @@ TEST(Chaos, HangingWorkerIsCaughtByTheWatchdogAndItsPointQuarantined) {
   const auto merged = merge_dispatch_journals(result.journal_paths(), &error);
   ASSERT_TRUE(merged) << error;
   EXPECT_EQ(merged->rows.size(), 3u);
+  expect_no_duplicate_rows(result.journal_paths());
 }
 
 // ENOSPC on the third journal append: the worker stops claiming rows,
@@ -279,6 +283,7 @@ TEST(Chaos, JournalEnospcStopsCleanlyAndResumeCompletes) {
       log);
   EXPECT_TRUE(resumed.success()) << resumed.describe();
   EXPECT_EQ(file_bytes(ref), file_bytes(csv));
+  expect_no_duplicate_rows({journal_path});
 }
 
 // A torn write (partial row + crash, as a power cut leaves it) exits
@@ -320,6 +325,7 @@ TEST(Chaos, TornWriteCrashLeavesAHealableTail) {
   ASSERT_TRUE(healed) << error;
   EXPECT_FALSE(healed->truncated_tail);
   EXPECT_EQ(healed->rows.size(), 4u);
+  expect_no_duplicate_rows({journal_path});
 }
 
 // SIGTERM mid-run: the worker finishes the row in hand, flushes the
@@ -374,6 +380,7 @@ TEST(Chaos, SigtermStopsAtARowBoundaryAndResumeIsByteIdentical) {
       log);
   EXPECT_TRUE(resumed.success()) << resumed.describe();
   EXPECT_EQ(file_bytes(ref), file_bytes(csv));
+  expect_no_duplicate_rows({journal_path});
 }
 
 // The dispatch CLI's exit-code contract, quarantine leg: a poisoned
@@ -407,6 +414,8 @@ TEST(Chaos, DispatchCliExitsQuarantinedAndStillWritesMergedOutput) {
   EXPECT_NE(file_bytes(dir + "/quarantine.jsonl").find(poison.key),
             std::string::npos);
   EXPECT_EQ(lines_of(csv), without_indices(ref, {poison.index}));
+  expect_no_duplicate_rows(
+      {dir + "/shard_0.journal", dir + "/shard_1.journal"});
 }
 
 // The dispatch CLI's exit-code contract, abandoned and spec-mismatch
@@ -445,6 +454,97 @@ TEST(Chaos, DispatchCliExitsAbandonedAndSpecMismatchDistinctly) {
   ASSERT_TRUE(mismatch.exited) << mismatch.describe();
   EXPECT_EQ(mismatch.code, kDispatchSpecMismatch);
   EXPECT_NE(file_bytes(log).find("different spec"), std::string::npos);
+}
+
+
+// The dispatcher is the only writer of the shard journals, so its own
+// appends are a fault site too. --inject-fault arms the dispatcher
+// process alone: a torn write crashes it mid-append, leaving a torn
+// shard journal behind, and re-running the same command -- fault spec
+// included -- heals that journal and completes byte-identically.
+TEST(Chaos, DispatcherTornWriteCrashHealsOnRerun) {
+  const auto kv = grid4("chaos-dispatch-torn");
+  const auto ref = reference_csv(kv, "chaos_dtorn_ref.csv");
+  const auto dir = fresh_dir("chaos_dtorn");
+  const auto csv = temp_path("chaos_dtorn.csv");
+  const auto log = temp_path("chaos_dtorn.log");
+  const auto argv = flag_argv(
+      REAP_DISPATCH_BIN, kv,
+      {"--campaign-bin=" REAP_CAMPAIGN_BIN, "--work-dir=" + dir,
+       "--workers=2", "--jobs=2", "--backoff-ms=1", "--csv=" + csv,
+       "--baseline=none", "--quiet",
+       "--inject-fault=journal.write:torn-write:3"});
+  const std::vector<std::string> journals = {dir + "/shard_0.journal",
+                                             dir + "/shard_1.journal"};
+
+  const auto crashed = run_to_exit(argv, log);
+  ASSERT_TRUE(crashed.exited) << crashed.describe();
+  EXPECT_EQ(crashed.code, common::fault::kCrashExit);
+  std::size_t torn = 0, rows = 0;
+  for (const auto& path : journals) {
+    const auto journal = read_journal(path);
+    ASSERT_TRUE(journal) << path;
+    torn += journal->truncated_tail ? 1 : 0;
+    rows += journal->rows.size();
+  }
+  EXPECT_EQ(torn, 1u);
+  EXPECT_EQ(rows, 2u);  // appends 1-2 landed, the 3rd tore
+
+  const auto rerun = run_to_exit(argv, log);
+  ASSERT_TRUE(rerun.exited) << rerun.describe();
+  EXPECT_EQ(rerun.code, kDispatchOk);
+  EXPECT_EQ(file_bytes(ref), file_bytes(csv));
+  for (const auto& path : journals) {
+    std::string error;
+    const auto healed = read_journal(path, &error);
+    ASSERT_TRUE(healed) << error;
+    EXPECT_FALSE(healed->truncated_tail) << path;
+    EXPECT_TRUE(healed->corrupt.empty()) << path;
+  }
+  expect_no_duplicate_rows(journals);
+}
+
+// ENOSPC on the dispatcher's 3rd append: the dispatch stops at a row
+// boundary with kDispatchError and says how to continue; a re-run of the
+// same command finishes the grid byte-identically.
+TEST(Chaos, DispatcherJournalEnospcExitsAndRerunCompletes) {
+  const auto kv = grid4("chaos-dispatch-enospc");
+  const auto ref = reference_csv(kv, "chaos_denospc_ref.csv");
+  const auto dir = fresh_dir("chaos_denospc");
+  const auto csv = temp_path("chaos_denospc.csv");
+  const auto log = temp_path("chaos_denospc.log");
+  std::filesystem::remove(log);
+  const auto argv = flag_argv(
+      REAP_DISPATCH_BIN, kv,
+      {"--campaign-bin=" REAP_CAMPAIGN_BIN, "--work-dir=" + dir,
+       "--workers=2", "--jobs=2", "--backoff-ms=1", "--csv=" + csv,
+       "--baseline=none", "--quiet",
+       "--inject-fault=journal.write:enospc:3"});
+  const std::vector<std::string> journals = {dir + "/shard_0.journal",
+                                             dir + "/shard_1.journal"};
+
+  const auto failed = run_to_exit(argv, log);
+  ASSERT_TRUE(failed.exited) << failed.describe();
+  EXPECT_EQ(failed.code, kDispatchError);
+  const auto output = file_bytes(log);
+  EXPECT_NE(output.find("journal append failed"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("re-run to resume"), std::string::npos) << output;
+  std::size_t rows = 0;
+  for (const auto& path : journals) {
+    const auto journal = read_journal(path);
+    ASSERT_TRUE(journal) << path;
+    EXPECT_FALSE(journal->truncated_tail) << path;
+    EXPECT_TRUE(journal->corrupt.empty()) << path;
+    rows += journal->rows.size();
+  }
+  EXPECT_EQ(rows, 2u);
+
+  const auto rerun = run_to_exit(argv, log);
+  ASSERT_TRUE(rerun.exited) << rerun.describe();
+  EXPECT_EQ(rerun.code, kDispatchOk);
+  EXPECT_EQ(file_bytes(ref), file_bytes(csv));
+  expect_no_duplicate_rows(journals);
 }
 
 }  // namespace

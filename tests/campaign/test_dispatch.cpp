@@ -1,8 +1,9 @@
 // Dispatcher fault paths, driven against the real reap_campaign binary
 // (REAP_CAMPAIGN_BIN, baked in by CMake): a healthy pool merges to output
 // byte-identical to a single-process run; a worker killed mid-shard is
-// restarted with --resume and changes nothing; a pre-existing torn
-// journal resumes instead of re-running; a persistently dying worker gets
+// restarted past its journaled rows and changes nothing; a pre-existing
+// torn journal is healed by the dispatcher and resumes instead of
+// re-running; a persistently dying worker gets
 // its shard reassigned to another slot and then fails the dispatch with
 // its log named; an exit-0 worker that journaled nothing counts as a
 // failure, not a success.
@@ -23,6 +24,7 @@
 namespace reap::campaign {
 namespace {
 
+using testutil::expect_no_duplicate_rows;
 using testutil::file_bytes;
 using testutil::temp_path;
 
@@ -108,6 +110,7 @@ TEST(Dispatch, MergedOutputByteIdenticalToSingleProcess) {
     rows += s.rows;
   }
   EXPECT_EQ(rows, 8u);
+  expect_no_duplicate_rows(result.journal_paths());
 
   const auto merged = merged_csv_of(result, "dispatch_merged.csv");
   EXPECT_EQ(file_bytes(ref), file_bytes(merged));
@@ -143,10 +146,9 @@ TEST(Dispatch, WorkerKilledMidShardResumesAndOutputUnchanged) {
   EXPECT_EQ(result.shards[1].attempts, 2u);
   EXPECT_TRUE(result.shards[1].completed);
 
-  // The restarted worker resumed the journal rather than starting over:
-  // its log records both the fresh start and the resume.
-  const auto log = file_bytes(result.shards[1].log_path);
-  EXPECT_NE(log.find("resuming:"), std::string::npos) << log;
+  // The restarted worker skipped the journaled rows rather than starting
+  // over: no key landed twice.
+  expect_no_duplicate_rows(result.journal_paths());
 
   const auto merged = merged_csv_of(result, "dispatch_kill_merged.csv");
   EXPECT_EQ(file_bytes(ref), file_bytes(merged));
@@ -174,15 +176,27 @@ TEST(Dispatch, ResumesPreexistingTornJournalWithoutRerunningRows) {
     std::ofstream torn(journal_path, std::ios::app);
     torn << "{\"key\":\"torn-mid-write";
   }
-  std::filesystem::remove(first.shards[0].log_path);
 
-  // Re-dispatch over the same work dir: shard 0 resumes past its one
-  // journaled row, shard 1 finds its journal complete and runs nothing.
-  const auto second = Dispatcher(kv, base_opts(dir)).run();
+  // Re-dispatch over the same work dir: the dispatcher heals shard 0's
+  // journal and relaunches it past its one journaled row; shard 1 finds
+  // its journal complete and launches nothing.
+  auto opts = base_opts(dir);
+  std::map<std::size_t, std::size_t> spawns;
+  opts.on_spawn = [&](std::size_t shard, std::size_t, std::size_t, long) {
+    spawns[shard]++;
+  };
+  const auto second = Dispatcher(kv, opts).run();
   ASSERT_TRUE(second.ok) << second.error;
-  const auto log = file_bytes(second.shards[0].log_path);
-  EXPECT_NE(log.find("resuming: 1 of"), std::string::npos) << log;
-  EXPECT_NE(log.find("torn line"), std::string::npos) << log;
+  EXPECT_EQ(spawns[0], 1u);
+  EXPECT_EQ(spawns[1], 0u);
+  EXPECT_EQ(second.shards[1].attempts, 0u);
+  EXPECT_TRUE(second.shards[1].completed);
+
+  const auto healed = read_journal(journal_path, &error);
+  ASSERT_TRUE(healed) << error;
+  EXPECT_FALSE(healed->truncated_tail);
+  EXPECT_TRUE(healed->corrupt.empty());
+  expect_no_duplicate_rows(second.journal_paths());
 
   const auto merged = merged_csv_of(second, "dispatch_resume_merged.csv");
   EXPECT_EQ(file_bytes(ref), file_bytes(merged));
@@ -205,6 +219,7 @@ TEST(Dispatch, RerunAdoptsTheJournalsShardSplitAndRefusesOtherSpecs) {
   ASSERT_TRUE(rerun.ok) << rerun.error;
   EXPECT_EQ(rerun.shards.size(), 2u);
   EXPECT_EQ(rerun.restarts, 0u);
+  expect_no_duplicate_rows(rerun.journal_paths());
   const auto merged = merged_csv_of(rerun, "dispatch_adopt_merged.csv");
   EXPECT_EQ(file_bytes(ref), file_bytes(merged));
 

@@ -1,6 +1,7 @@
 // Execution journal: round trip, torn-tail tolerance, per-row CRC
 // classification (torn vs corrupt), v1 compatibility, append/rewrite,
-// compatibility checks, row merging, and the progress line.
+// compatibility checks, reopen-for-resume, row parsing, row merging, and
+// the progress line.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -401,87 +402,90 @@ TEST(Journal, MergeRowsDedupesByKeyAndSortsByIndex) {
   EXPECT_EQ(merged[2].index, 5u);
 }
 
-TEST(JournalTailer, ReportsRowsIncrementallyAndHoldsBackTornTail) {
+// reopen_journal is the one resume path (reap_campaign --resume and the
+// dispatcher's startup): it refuses another run's journal, heals a torn
+// tail and corrupt lines on disk, and still reports what it healed.
+TEST(Journal, ReopenHealsInPlaceAndRefusesAnotherRun) {
   const auto spec = small_spec();
-  const auto path = temp_path("journal_tail.jsonl");
-  std::remove(path.c_str());
-
-  JournalTailer tailer(path);
-  EXPECT_TRUE(tailer.poll().empty());  // no file yet
-  EXPECT_EQ(tailer.rows_seen(), 0u);
-
-  JournalWriter writer(path, JournalHeader::for_run(spec, 8, 0, 1));
-  EXPECT_TRUE(tailer.poll().empty());  // header only: no rows
-  writer.add("k0", fake_cells(0));
-  writer.add("k1", fake_cells(1));
-  EXPECT_EQ(tailer.poll(), (std::vector<std::string>{"k0", "k1"}));
-  EXPECT_TRUE(tailer.poll().empty());  // nothing new
-
+  const auto path = temp_path("journal_reopen.jsonl");
   {
-    std::ofstream torn(path, std::ios::app);
-    torn << "{\"key\":\"k2\",\"ind";  // in-flight line, no newline yet
-  }
-  EXPECT_TRUE(tailer.poll().empty());  // torn tail is not a row yet
-  {
-    std::ofstream torn(path, std::ios::app);
-    torn << "ex\":2}\n";  // the rest of the line lands
-  }
-  EXPECT_EQ(tailer.poll(), (std::vector<std::string>{"k2"}));
-  EXPECT_EQ(tailer.rows_seen(), 3u);
-  std::remove(path.c_str());
-}
-
-// The live tailer applies the same checksum discipline as the reader: a
-// damaged row is not progress, and a duplicated row counts once.
-TEST(JournalTailer, SkipsChecksumFailuresAndCountsDuplicatesOnce) {
-  const auto spec = small_spec();
-  const auto path = temp_path("journal_tail_crc.jsonl");
-  std::remove(path.c_str());
-  {
-    JournalWriter writer(path, JournalHeader::for_run(spec, 8, 0, 1));
+    JournalWriter writer(path, JournalHeader::for_run(spec, 8, 1, 2));
     writer.add("k0", fake_cells(0));
     writer.add("k1", fake_cells(1));
   }
   auto lines = file_lines(path);
-  {
-    const auto at = lines[1].find("mcf");  // flip a byte of k0's row
-    ASSERT_NE(at, std::string::npos);
-    lines[1].replace(at, 3, "mcg");
-  }
-  lines.push_back(lines[2]);  // and duplicate k1's row verbatim
+  lines[1] = "{\"key\":\"garbage";  // corrupt mid-file line
   write_lines(path, lines);
+  {
+    std::ofstream out(path, std::ios::app);
+    out << "{\"key\":\"torn";  // and a torn tail
+  }
 
-  JournalTailer tailer(path);
-  EXPECT_EQ(tailer.poll(), (std::vector<std::string>{"k1"}));
-  EXPECT_EQ(tailer.rows_seen(), 1u);
+  std::string error;
+  EXPECT_FALSE(reopen_journal(path, spec, 8, 0, 2, &error));
+  EXPECT_NE(error.find("shard mismatch"), std::string::npos) << error;
+  EXPECT_EQ(file_lines(path).size(), 4u);  // a refusal touches nothing
+
+  const auto reopened = reopen_journal(path, spec, 8, 1, 2, &error);
+  ASSERT_TRUE(reopened) << error;
+  EXPECT_TRUE(reopened->truncated_tail);
+  ASSERT_EQ(reopened->corrupt.size(), 1u);
+  ASSERT_EQ(reopened->rows.size(), 1u);
+  EXPECT_EQ(reopened->rows[0].key, "k1");
+
+  const auto healed = read_journal(path, &error);
+  ASSERT_TRUE(healed) << error;
+  EXPECT_FALSE(healed->truncated_tail);
+  EXPECT_TRUE(healed->corrupt.empty());
+  ASSERT_EQ(healed->rows.size(), 1u);
   std::remove(path.c_str());
 }
 
-TEST(JournalTailer, SurvivesResumeStyleShrinkWithoutDoubleCounting) {
+// A rewrite is not a row append: an armed journal.write fault must not
+// fire while a resume heals the file, or a re-run under the same fault
+// spec could never get past its own healing.
+TEST(Journal, RewriteDoesNotConsumeJournalWriteFaults) {
   const auto spec = small_spec();
-  const auto path = temp_path("journal_tail_shrink.jsonl");
+  const auto path = temp_path("journal_rewrite_fault.jsonl");
+  Journal j;
+  j.header = JournalHeader::for_run(spec, 8, 0, 1);
+  j.rows = {{"k0", 0, fake_cells(0)}, {"k1", 1, fake_cells(1)}};
+  common::fault::disarm();
+  ASSERT_TRUE(common::fault::arm("journal.write:eio:1"));
+  std::string error;
+  EXPECT_TRUE(rewrite_journal(path, j, &error)) << error;
+  {
+    JournalWriter writer(path);  // the first real append takes the fault
+    writer.add("k2", fake_cells(2));
+    EXPECT_EQ(writer.io_errno(), EIO);
+  }
+  common::fault::disarm();
+  const auto back = read_journal(path, &error);
+  ASSERT_TRUE(back) << error;
+  EXPECT_EQ(back->rows.size(), 2u);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, ParseRowAcceptsExactlyWhatTheReaderAccepts) {
+  const auto spec = small_spec();
+  const auto path = temp_path("journal_parse_row.jsonl");
   {
     JournalWriter writer(path, JournalHeader::for_run(spec, 8, 0, 1));
-    writer.add("k0", fake_cells(0));
-    writer.add("k1", fake_cells(1));
-    std::ofstream torn(path, std::ios::app);
-    torn << "{\"key\":\"torn";
+    writer.add("k3", fake_cells(3));
   }
-  JournalTailer tailer(path);
-  EXPECT_EQ(tailer.poll().size(), 2u);
+  const auto lines = file_lines(path);
+  ASSERT_EQ(lines.size(), 2u);
+  const auto row = parse_journal_row(lines[1], result_header());
+  ASSERT_TRUE(row);
+  EXPECT_EQ(row->key, "k3");
+  EXPECT_EQ(row->index, 3u);
+  EXPECT_EQ(row->cells, fake_cells(3));
 
-  // A resuming worker rewrites the journal without the torn tail (the
-  // file shrinks), then appends fresh rows.
-  auto journal = read_journal(path);
-  ASSERT_TRUE(journal && journal->truncated_tail);
-  std::string error;
-  ASSERT_TRUE(rewrite_journal(path, *journal, &error)) << error;
-  {
-    JournalWriter writer(path);
-    writer.add("k2", fake_cells(2));
-  }
-  EXPECT_EQ(tailer.poll(), (std::vector<std::string>{"k2"}));
-  EXPECT_EQ(tailer.rows_seen(), 3u);
+  EXPECT_FALSE(parse_journal_row(lines[0], result_header()));  // header
+  EXPECT_FALSE(parse_journal_row(lines[1].substr(0, 20), result_header()));
+  auto flipped = lines[1];
+  flipped.replace(flipped.find("mcf"), 3, "mcg");  // CRC no longer matches
+  EXPECT_FALSE(parse_journal_row(flipped, result_header()));
   std::remove(path.c_str());
 }
 

@@ -5,7 +5,9 @@
 // quarantined and its shards redistribute, with the run exiting as
 // host_lost but the merge still byte-identical; a garbled frame and a
 // stalled stream recover through the ordinary restart machinery; a
-// reconnect after a drop never duplicates a journal row; the handshake
+// reconnect after a drop never duplicates a journal row; a re-dispatch
+// over a completed work dir runs nothing, and one over a torn journal of
+// the ssh-served shard heals it without duplicating a row; the handshake
 // refuses a mismatched worker build outright and degrades past an
 // unreachable host; a missing remote trace store is a one-note fallback,
 // not a divergence.
@@ -14,13 +16,12 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "campaign_test_util.hpp"
 #include "reap/campaign/dispatch.hpp"
+#include "reap/campaign/journal.hpp"
 #include "reap/campaign/result_sink.hpp"
 #include "reap/campaign/transport.hpp"
 #include "reap/campaign/version.hpp"
@@ -31,6 +32,7 @@
 namespace reap::campaign {
 namespace {
 
+using testutil::expect_no_duplicate_rows;
 using testutil::file_bytes;
 using testutil::temp_path;
 
@@ -87,6 +89,15 @@ HostSpec stub_host(const std::string& work_dir) {
   return h;
 }
 
+HostSpec local_host(const std::string& work_dir) {
+  HostSpec h;
+  h.name = "local";
+  h.slots = 1;
+  h.remote_binary = REAP_CAMPAIGN_BIN;
+  h.remote_dir = work_dir + "/remote-local";
+  return h;
+}
+
 // A local slot plus one stub-ssh slot: the smallest real fleet.
 DispatchOptions fleet_opts(const std::string& work_dir) {
   DispatchOptions opts;
@@ -94,9 +105,8 @@ DispatchOptions fleet_opts(const std::string& work_dir) {
   opts.work_dir = work_dir;
   opts.poll_interval = std::chrono::milliseconds(5);
   opts.backoff_base = std::chrono::milliseconds(10);
-  opts.transports.push_back(
-      std::make_shared<LocalTransport>(REAP_CAMPAIGN_BIN, 1));
-  opts.transports.push_back(std::make_shared<SshTransport>(stub_host(work_dir)));
+  opts.transports.emplace_back(local_host(work_dir));
+  opts.transports.emplace_back(stub_host(work_dir));
   opts.expected_worker_version = build_info_line("reap_campaign");
   return opts;
 }
@@ -110,26 +120,6 @@ std::string merged_csv_of(const DispatchResult& result, const char* name) {
   CsvResultSink csv(path);
   for (const auto& row : merged->rows) csv.add_cells(row);
   return path;
-}
-
-// Row keys duplicated inside any one shard journal would merge away
-// silently (the merge dedupes); assert the journals never contain them.
-void expect_no_duplicate_rows(const DispatchResult& result) {
-  for (const auto& path : result.journal_paths()) {
-    std::ifstream in(path);
-    std::set<std::string> keys;
-    std::string line;
-    while (std::getline(in, line)) {
-      const auto pos = line.find("\"key\":\"");
-      if (pos == std::string::npos) continue;  // header
-      const auto start = pos + 7;
-      const auto end = line.find('"', start);
-      ASSERT_NE(end, std::string::npos);
-      const auto key = line.substr(start, end - start);
-      EXPECT_TRUE(keys.insert(key).second)
-          << path << " journals row '" << key << "' twice";
-    }
-  }
 }
 
 TEST(HostsFile, ParsesSlotsOptionsAndComments) {
@@ -238,6 +228,7 @@ TEST(Transport, TwoTransportFleetMatchesSingleProcessRun) {
   EXPECT_EQ(result.status, DispatchStatus::ok);
   EXPECT_TRUE(result.lost_hosts.empty());
   EXPECT_EQ(result.points, 8u);
+  expect_no_duplicate_rows(result.journal_paths());
   EXPECT_EQ(file_bytes(ref), file_bytes(merged_csv_of(result, "fleet_m.csv")));
 }
 
@@ -259,6 +250,7 @@ TEST(Transport, HostKilledMidCampaignDegradesAndMergeIsByteIdentical) {
   ASSERT_EQ(result.lost_hosts.size(), 1u);
   EXPECT_EQ(result.lost_hosts[0], "stub-b");
   EXPECT_GE(result.restarts, 1u);
+  expect_no_duplicate_rows(result.journal_paths());
   EXPECT_EQ(file_bytes(ref), file_bytes(merged_csv_of(result, "lost_m.csv")));
 }
 
@@ -273,6 +265,7 @@ TEST(Transport, UnreachableHostAtHandshakeDegradesPastIt) {
   EXPECT_EQ(result.status, DispatchStatus::host_lost);
   ASSERT_EQ(result.lost_hosts.size(), 1u);
   EXPECT_EQ(result.lost_hosts[0], "stub-b");
+  expect_no_duplicate_rows(result.journal_paths());
   EXPECT_EQ(file_bytes(ref),
             file_bytes(merged_csv_of(result, "unreach_m.csv")));
 }
@@ -290,7 +283,7 @@ TEST(Transport, GarbledFrameIsDroppedAndRowRerun) {
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.status, DispatchStatus::ok);
   EXPECT_TRUE(result.lost_hosts.empty());
-  expect_no_duplicate_rows(result);
+  expect_no_duplicate_rows(result.journal_paths());
   EXPECT_EQ(file_bytes(ref),
             file_bytes(merged_csv_of(result, "garble_m.csv")));
 }
@@ -310,6 +303,7 @@ TEST(Transport, StalledStreamCountsAsHostFailureAndRecovers) {
   EXPECT_EQ(result.status, DispatchStatus::ok);
   EXPECT_TRUE(result.lost_hosts.empty());
   EXPECT_GE(result.restarts, 1u);
+  expect_no_duplicate_rows(result.journal_paths());
   EXPECT_EQ(file_bytes(ref), file_bytes(merged_csv_of(result, "stall_m.csv")));
 }
 
@@ -327,9 +321,84 @@ TEST(Transport, ReconnectAfterDropNeverDuplicatesRows) {
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(result.lost_hosts.empty());
   EXPECT_GE(result.restarts, 1u);
-  expect_no_duplicate_rows(result);
+  expect_no_duplicate_rows(result.journal_paths());
   EXPECT_EQ(file_bytes(ref),
             file_bytes(merged_csv_of(result, "reconn_m.csv")));
+}
+
+TEST(Transport, RedispatchOverACompletedFleetWorkDirRunsNothing) {
+  // The dispatcher seeds each shard's done set from its journal before
+  // any launch, so a completed work dir completes again without a
+  // worker on any host -- the ssh-served shard included.
+  const auto kv = spec_kv(20000);
+  const auto ref = reference_csv(kv, "redispatch_ref.csv");
+  auto opts = fleet_opts(fresh_dir("fleet_redispatch"));
+  opts.jobs = 2;
+  const auto first = Dispatcher(kv, opts).run();
+  ASSERT_TRUE(first.ok) << first.error;
+
+  std::size_t spawns = 0;
+  opts.on_spawn = [&](std::size_t, std::size_t, std::size_t, long) {
+    spawns++;
+  };
+  const auto second = Dispatcher(kv, opts).run();
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_EQ(second.status, DispatchStatus::ok);
+  EXPECT_EQ(second.restarts, 0u);
+  EXPECT_EQ(spawns, 0u);
+  ASSERT_EQ(second.shards.size(), 2u);
+  for (const auto& s : second.shards) {
+    EXPECT_TRUE(s.completed);
+    EXPECT_EQ(s.attempts, 0u) << "shard " << s.shard;
+  }
+  expect_no_duplicate_rows(second.journal_paths());
+  EXPECT_EQ(file_bytes(ref),
+            file_bytes(merged_csv_of(second, "redispatch_m.csv")));
+}
+
+TEST(Transport, RedispatchHealsATornJournalOfTheSshServedShard) {
+  // Shard 1 ran on the stub host. Cut its journal to header + one row +
+  // a torn fragment, and cut shard 0's to header + one row so that the
+  // local slot is busy and shard 1 relaunches on the stub host again.
+  // The dispatcher heals the fragment before appending the streamed
+  // rows: the merge is byte-identical and no key lands twice.
+  const auto kv = spec_kv(20000);
+  const auto ref = reference_csv(kv, "torn_fleet_ref.csv");
+  auto opts = fleet_opts(fresh_dir("fleet_torn"));
+  opts.jobs = 2;
+  std::map<std::size_t, std::size_t> slot_of_shard;
+  opts.on_spawn = [&](std::size_t shard, std::size_t, std::size_t slot,
+                      long) { slot_of_shard[shard] = slot; };
+  const auto first = Dispatcher(kv, opts).run();
+  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_EQ(slot_of_shard[1], 1u);  // the stub-b slot
+
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto path = first.shards[i].journal_path;
+    auto journal = read_journal(path);
+    ASSERT_TRUE(journal);
+    ASSERT_GE(journal->rows.size(), 2u);
+    journal->rows.resize(1);
+    std::string error;
+    ASSERT_TRUE(rewrite_journal(path, *journal, &error)) << error;
+  }
+  {
+    std::ofstream torn(first.shards[1].journal_path, std::ios::app);
+    torn << "{\"key\":\"torn-mid-write";
+  }
+
+  slot_of_shard.clear();
+  const auto second = Dispatcher(kv, opts).run();
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_EQ(slot_of_shard[1], 1u);  // streamed from the stub host again
+  std::string error;
+  const auto healed = read_journal(second.shards[1].journal_path, &error);
+  ASSERT_TRUE(healed) << error;
+  EXPECT_FALSE(healed->truncated_tail);
+  EXPECT_TRUE(healed->corrupt.empty());
+  expect_no_duplicate_rows(second.journal_paths());
+  EXPECT_EQ(file_bytes(ref),
+            file_bytes(merged_csv_of(second, "torn_fleet_m.csv")));
 }
 
 TEST(Transport, HandshakeRefusesMismatchedWorkerBuild) {
@@ -338,7 +407,7 @@ TEST(Transport, HandshakeRefusesMismatchedWorkerBuild) {
   // a hard error, never a degrade.
   auto spec = stub_host(fresh_dir("hs_mismatch"));
   spec.remote_binary = "/bin/echo";  // prints its args, not our line
-  SshTransport transport(spec);
+  WorkerTransport transport(spec);
   std::string error, note;
   EXPECT_EQ(transport.handshake(build_info_line("reap_campaign"), "", &error,
                                 &note),
@@ -349,7 +418,7 @@ TEST(Transport, HandshakeRefusesMismatchedWorkerBuild) {
   auto opts = fleet_opts(fresh_dir("hs_mismatch_run"));
   auto bad = stub_host(opts.work_dir);
   bad.remote_binary = "/bin/echo";
-  opts.transports[1] = std::make_shared<SshTransport>(bad);
+  opts.transports[1] = WorkerTransport(bad);
   const auto result = Dispatcher(spec_kv(2000), opts).run();
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("version skew"), std::string::npos)
@@ -359,7 +428,7 @@ TEST(Transport, HandshakeRefusesMismatchedWorkerBuild) {
 TEST(Transport, UnreachableSshCommandReportsUnreachable) {
   auto spec = stub_host(fresh_dir("hs_unreach"));
   spec.ssh_command = "/nonexistent/ssh-binary";
-  SshTransport transport(spec);
+  WorkerTransport transport(spec);
   std::string error, note;
   EXPECT_EQ(transport.handshake(build_info_line("reap_campaign"), "", &error,
                                 &note),
@@ -369,7 +438,7 @@ TEST(Transport, UnreachableSshCommandReportsUnreachable) {
 
 TEST(Transport, MissingRemoteTraceStoreFallsBackWithOneNote) {
   auto spec = stub_host(fresh_dir("hs_tracedir"));
-  SshTransport transport(spec);
+  WorkerTransport transport(spec);
   std::string error, note;
   EXPECT_EQ(transport.handshake(build_info_line("reap_campaign"),
                                 "/nonexistent-trace-store", &error, &note),
@@ -380,7 +449,7 @@ TEST(Transport, MissingRemoteTraceStoreFallsBackWithOneNote) {
   // A present trace dir probes clean: no note.
   const auto present = fresh_dir("hs_tracedir_ok");
   std::filesystem::create_directories(present);
-  SshTransport transport2(stub_host(present));
+  WorkerTransport transport2(stub_host(present));
   note.clear();
   EXPECT_EQ(transport2.handshake(build_info_line("reap_campaign"), present,
                                  &error, &note),

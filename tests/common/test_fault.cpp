@@ -43,7 +43,7 @@ TEST_F(FaultTest, ArmRejectsBadGrammar) {
 TEST_F(FaultTest, KnownSitesListTheCompiledInSet) {
   const auto& sites = known_sites();
   for (const char* site : {"journal.write", "journal.fsync", "worker.spawn",
-                           "runner.point", "tailer.read", "transport.connect",
+                           "runner.point", "transport.connect",
                            "transport.stream"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), site), sites.end())
         << site;
@@ -93,16 +93,16 @@ TEST_F(FaultTest, KeySubstringScopesTheFaultToMatchingContexts) {
 TEST_F(FaultTest, SitesAreIndependent) {
   ASSERT_TRUE(arm("journal.write:eio:*"));
   EXPECT_FALSE(hit("journal.fsync").has_value());
-  EXPECT_FALSE(hit("tailer.read").has_value());
+  EXPECT_FALSE(hit("transport.stream").has_value());
   EXPECT_TRUE(hit("journal.write").has_value());
 }
 
 TEST_F(FaultTest, CommaSeparatedSpecsArmTogether) {
-  ASSERT_TRUE(arm("journal.write:eio:*,tailer.read:enospc:*"));
+  ASSERT_TRUE(arm("journal.write:eio:*,transport.stream:drop:*"));
   EXPECT_TRUE(hit("journal.write").has_value());
-  const auto t = hit("tailer.read");
+  const auto t = hit("transport.stream");
   ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(t->kind, Kind::enospc);
+  EXPECT_EQ(t->kind, Kind::drop);
 }
 
 TEST_F(FaultTest, TornWriteCarriesItsByteParam) {

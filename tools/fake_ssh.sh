@@ -2,10 +2,10 @@
 # Stand-in for ssh in tests and CI: ignores the host argument and runs
 # the command string locally, joining the remaining argv with spaces the
 # way ssh hands them to the remote shell. Lets the multi-host smoke test
-# exercise SshTransport -- framing, handshake, host loss -- without a
+# exercise the ssh launch path -- framing, handshake, host loss -- without a
 # real sshd anywhere.
 #
-# Usage (as SshTransport invokes ssh): fake_ssh.sh HOST COMMAND...
+# Usage (as WorkerTransport invokes ssh): fake_ssh.sh HOST COMMAND...
 host=$1
 shift
 exec sh -c "$*"
