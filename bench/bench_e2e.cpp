@@ -14,9 +14,18 @@
 //                            i.e. every point of a paired group after the
 //                            first. replay/simd isolates the RNG
 //                            generation share of the hot path
+//   E2E/group             -- one hierarchy walk over the same replayed
+//                            arena feeding all five policies as observers
+//                            (run_experiment_group): a campaign trace
+//                            group's cost. Items are 5 x instructions --
+//                            simulated instructions per wall second
+//                            summed over the five points -- so
+//                            group / replay is the fan-out win over
+//                            replaying the arena once per policy
 //
-// The replay/simd ratio is measured inside one binary (bench_diff.py
-// --gate holds its floor in CI); comparing BENCH_e2e.json files across
+// The replay/simd and group/replay ratios are measured inside one binary
+// (bench_diff.py --gate holds their floors in CI); comparing
+// BENCH_e2e.json files across
 // commits (tools/bench_diff.py) tracks the full perf trajectory, including
 // substrate changes both series share. items_per_second is simulated
 // instructions per wall second — the number ROADMAP's "SPEC-length
@@ -25,6 +34,8 @@
 // Emit the JSON artifact with:
 //   bench_e2e --benchmark_out=BENCH_e2e.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "reap/core/experiment.hpp"
 #include "reap/trace/replay.hpp"
@@ -72,6 +83,23 @@ void run_e2e_replay(benchmark::State& state, core::PolicyKind policy) {
       static_cast<std::int64_t>(state.iterations() * cfg.instructions));
 }
 
+// One walk, five observers: every policy over the replayed arena in one
+// run_experiment_group call.
+void run_e2e_group(benchmark::State& state) {
+  std::vector<core::ExperimentConfig> cfgs;
+  for (const core::PolicyKind policy : core::all_policies())
+    cfgs.push_back(bench_cfg(policy));
+  trace::WorkloadTraceSource gen(cfgs.front().workload);
+  const auto trace = trace::MaterializedTrace::materialize(
+      gen, cfgs.front().warmup_instructions + cfgs.front().instructions);
+  for (auto _ : state) {
+    trace::ReplayTraceSource source(trace);
+    benchmark::DoNotOptimize(core::run_experiment_group(cfgs, &source));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * cfgs.size() * cfgs.front().instructions));
+}
+
 void register_all() {
   for (const core::PolicyKind policy : core::all_policies()) {
     benchmark::RegisterBenchmark(
@@ -83,6 +111,8 @@ void register_all() {
         [policy](benchmark::State& s) { run_e2e_replay(s, policy); })
         ->Unit(benchmark::kMillisecond);
   }
+  benchmark::RegisterBenchmark("E2E/group", run_e2e_group)
+      ->Unit(benchmark::kMillisecond);
 }
 
 }  // namespace

@@ -242,6 +242,7 @@ void BM_HierarchySimulation(benchmark::State& state) {
   ctx.model = &model;
   ctx.ledger = &ledger;
   ctx.ways = 8;
+  ctx.lines = hier.l2().lines();
   sim::TraceCpu cpu(src, hier);
   core::with_policy_impl(core::PolicyKind::reap, ctx, [&](auto& policy) {
     cpu.run_vectorized(100'000, policy);  // warm

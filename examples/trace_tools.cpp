@@ -59,6 +59,7 @@ int main(int argc, char** argv) {
   ctx.ways = 8;
 
   sim::MemoryHierarchy hier(sim::HierarchyConfig{});
+  ctx.lines = hier.l2().lines();
   sim::TraceCpu cpu(*reader, hier);
   // An instruction budget of `ops` replays until the trace ends.
   core::with_policy_impl(

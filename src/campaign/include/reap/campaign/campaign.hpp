@@ -11,3 +11,4 @@
 #include "reap/campaign/seed.hpp"         // IWYU pragma: export
 #include "reap/campaign/spec.hpp"         // IWYU pragma: export
 #include "reap/campaign/trace_cache.hpp"  // IWYU pragma: export
+#include "reap/campaign/walk_groups.hpp"  // IWYU pragma: export

@@ -403,38 +403,45 @@ int main(int argc, char** argv) {
       progress(d, t);
     };
 
-  // Trace replay: group the schedule by trace identity and materialize
-  // each paired trace once; every other point of the group replays the
-  // byte-identical stream from the cache instead of regenerating it.
-  // Keys with a store file replay the mmapped arena instead: borrowed
+  // Shared walks: the schedule is grouped by trace identity and every
+  // to-run point of one trace_key comes out of a single hierarchy walk
+  // (campaign::WalkGroups over core::run_experiment_group) -- on every
+  // path. The op source is the one each point would use alone: with
+  // --trace-cache-mb the group replays the trace materialized once into
+  // the cache; keys with a store file replay the mmapped arena (borrowed
   // traces account zero bytes, so the cache retains them for free even at
-  // cap 0 (--trace-dir alone, no --trace-cache-mb).
+  // cap 0: --trace-dir alone); otherwise the walk generates its trace
+  // inline, once per group.
   std::optional<campaign::TraceCache> trace_cache;
-  if (trace_cache_mb > 0 || !mapped_traces.empty()) {
+  if (trace_cache_mb > 0 || !mapped_traces.empty())
     trace_cache.emplace(static_cast<std::size_t>(trace_cache_mb) << 20);
-    opts.group_key = [](const campaign::CampaignPoint& pt) {
-      return pt.trace_key;
-    };
-    opts.run_point_fn = [&cache = *trace_cache, &mapped_traces,
-                         trace_cache_mb](const campaign::CampaignPoint& pt) {
-      const auto it = mapped_traces.find(pt.trace_key);
-      if (it == mapped_traces.end() && trace_cache_mb == 0) {
-        // --trace-dir without a cache: keys with no store file generate
-        // per point, exactly the default path.
-        return core::run_experiment(pt.config);
-      }
-      const auto trace = cache.acquire(pt.trace_key, [&] {
-        if (it != mapped_traces.end()) return it->second;  // shares the mmap
-        const std::uint64_t budget =
-            pt.config.warmup_instructions + pt.config.instructions;
-        trace::WorkloadTraceSource gen(pt.config.workload);
-        return trace::MaterializedTrace::materialize(gen, budget);
+  campaign::WalkGroups walks(
+      to_run, [&trace_cache, &mapped_traces, trace_cache_mb](
+                  const std::vector<const campaign::CampaignPoint*>& members) {
+        std::vector<core::ExperimentConfig> cfgs;
+        cfgs.reserve(members.size());
+        for (const auto* member : members) cfgs.push_back(member->config);
+        const campaign::CampaignPoint& pt = *members.front();
+        const auto it = mapped_traces.find(pt.trace_key);
+        if (it == mapped_traces.end() && trace_cache_mb == 0)
+          return core::run_experiment_group(cfgs);
+        const auto trace = trace_cache->acquire(pt.trace_key, [&] {
+          if (it != mapped_traces.end()) return it->second;  // shares the mmap
+          const std::uint64_t budget =
+              pt.config.warmup_instructions + pt.config.instructions;
+          trace::WorkloadTraceSource gen(pt.config.workload);
+          return trace::MaterializedTrace::materialize(gen, budget);
+        });
+        trace::ReplayTraceSource source(*trace);
+        return core::run_experiment_group(cfgs, &source);
       });
-      trace::ReplayTraceSource source(*trace);
-      return core::run_experiment_replay(pt.config, source);
-    };
-    if (!quiet) progress.watch_trace_cache(&trace_cache->stats());
-  }
+  opts.group_key = [](const campaign::CampaignPoint& pt) {
+    return pt.trace_key;
+  };
+  opts.run_point_fn = [&walks](const campaign::CampaignPoint& pt) {
+    return walks.take(pt);
+  };
+  if (!quiet && trace_cache) progress.watch_trace_cache(&trace_cache->stats());
 
   campaign::CampaignRunner runner(opts);
   std::printf("campaign '%s': %zu points on %u threads\n", spec->name.c_str(),

@@ -2,11 +2,13 @@
 //
 // The execution journal suffixes every row with a CRC so a reader can
 // tell a row that was written and later damaged (bit rot, a partial
-// overwrite, a buggy editor) from one that is merely torn at the tail.
-// Software table-driven implementation: journal rows are a few hundred
-// bytes written once per completed experiment, so throughput is
-// irrelevant next to stability of the function -- the checksum is part of
-// the on-disk format and must never change value.
+// overwrite, a buggy editor) from one that is merely torn at the tail,
+// and the trace store checksums every multi-megabyte .reaptrace body when
+// a campaign opens it. Portable slicing-by-8 tables (eight table lookups
+// per eight input bytes, no ISA-specific code): the checksum is part of
+// the on-disk formats and must never change value, so the known-answer
+// vectors and a bytewise reference cross-check pin it
+// (tests/common/test_crc32c.cpp).
 #pragma once
 
 #include <cstdint>

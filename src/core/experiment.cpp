@@ -63,15 +63,19 @@ nvsim::CacheGeometry l2_geometry(const ExperimentConfig& cfg) {
   return geom;
 }
 
-// Everything an experiment wires together except the policy object.
-struct ExperimentRig {
-  std::unique_ptr<ecc::Code> line_code;
-  double p_rd;
-  double p_wf;
-  nvsim::CacheModel circuit;
-  reliability::UncorrectableModel model;
-  reliability::FailureLedger ledger;
-  PolicyContext ctx;
+// The walk fields: every config input the hierarchy walk reads. Configs
+// equal on these drive the byte-identical walk, whatever their policy,
+// ecc_t, scrub period, device point or clock.
+bool same_walk(const ExperimentConfig& a, const ExperimentConfig& b) {
+  return a.workload == b.workload && a.hierarchy == b.hierarchy &&
+         a.seed == b.seed && a.instructions == b.instructions &&
+         a.warmup_instructions == b.warmup_instructions;
+}
+
+// The shared part of a group's rig: one hierarchy, one data-value model,
+// one op source and one core. The walk runs at l2_hit_cycles = 0; each
+// observer adds its own hit latency per L2 read hit (see collect).
+struct WalkRig {
   sim::MemoryHierarchy hier;
   trace::DataValueModel values;
   // The op stream: the config's own generator by default, or an external
@@ -80,98 +84,140 @@ struct ExperimentRig {
   std::unique_ptr<trace::WorkloadTraceSource> own_source;
   trace::TraceSource& source;
   sim::TraceCpu cpu;
-  std::uint32_t hit_cycles;
 
-  explicit ExperimentRig(const ExperimentConfig& cfg,
-                         trace::TraceSource* external = nullptr)
-      : line_code(make_line_code(cfg.hierarchy.l2.block_bytes * 8, cfg.ecc_t)),
-        p_rd(mtj::read_disturb_probability(cfg.mtj)),
-        p_wf(mtj::write_failure_probability(cfg.mtj)),
-        circuit(l2_geometry(cfg), cfg.tech, *line_code, &cfg.mtj),
-        model(p_rd, cfg.ecc_t, cfg.hierarchy.l2.block_bytes * 8),
-        hier(cfg.hierarchy, cfg.seed),
+  WalkRig(const ExperimentConfig& cfg, trace::TraceSource* external)
+      : hier(cfg.hierarchy, cfg.seed),
         values(cfg.workload.values, cfg.hierarchy.l2.block_bytes * 8,
                cfg.workload.seed ^ 0xABCD),
         own_source(external ? nullptr
                             : std::make_unique<trace::WorkloadTraceSource>(
                                   cfg.workload)),
         source(external ? *external : *own_source),
-        cpu(source, hier, cfg.clock_ghz),
+        cpu(source, hier, cfg.clock_ghz) {
+    hier.set_l2_hit_cycles(0);
+    hier.set_l2_ones_provider(sim::OnesProvider(values));
+  }
+};
+
+// One observer's part of the rig: its line code, device and circuit
+// models, failure ledger and L2 hit latency.
+struct ObserverRig {
+  std::unique_ptr<ecc::Code> line_code;
+  double p_rd;
+  double p_wf;
+  nvsim::CacheModel circuit;
+  reliability::UncorrectableModel model;
+  reliability::FailureLedger ledger;
+  std::uint32_t hit_cycles;
+
+  explicit ObserverRig(const ExperimentConfig& cfg)
+      : line_code(make_line_code(cfg.hierarchy.l2.block_bytes * 8, cfg.ecc_t)),
+        p_rd(mtj::read_disturb_probability(cfg.mtj)),
+        p_wf(mtj::write_failure_probability(cfg.mtj)),
+        circuit(l2_geometry(cfg), cfg.tech, *line_code, &cfg.mtj),
+        model(p_rd, cfg.ecc_t, cfg.hierarchy.l2.block_bytes * 8),
         hit_cycles(l2_hit_cycles_for(cfg.policy, circuit.timing(),
-                                     cfg.clock_ghz)) {
+                                     cfg.clock_ghz)) {}
+
+  PolicyContext context(const ExperimentConfig& cfg,
+                        const sim::SetAssocCache& l2) {
+    PolicyContext ctx;
     ctx.model = &model;
     ctx.ledger = &ledger;
     ctx.ways = cfg.hierarchy.l2.ways;
+    ctx.lines = l2.lines();
     ctx.write_fail_per_cell = p_wf;
     ctx.codeword_bits = line_code->codeword_bits();
     ctx.check_on_dirty_eviction = cfg.check_on_dirty_eviction;
     ctx.scrub_every = cfg.scrub_every;
-    hier.set_l2_hit_cycles(hit_cycles);
-    hier.set_l2_ones_provider(sim::OnesProvider(values));
-  }
-
-  void reset_accounting() {
-    hier.reset_stats();
-    ledger.reset();
-    cpu.reset_counters();
+    return ctx;
   }
 };
 
-// Collects the result after the run; `policy` only needs events().
-template <class Policy>
-ExperimentResult collect(const ExperimentConfig& cfg, const ExperimentRig& rig,
-                         const Policy& policy) {
+// One observer's result. Its cycles are the shared walk's (run at zero L2
+// hit latency) plus its own latency per L2 read hit: l2_read is the only
+// source of L2 read lookups and the warm-up reset zeroes both counters
+// together, so this is the exact integer count a solo walk at
+// hit_cycles would have accumulated.
+ExperimentResult collect(const ExperimentConfig& cfg, const WalkRig& walk,
+                         const ObserverRig& obs, const EnergyEvents& events) {
+  const std::uint64_t cycles =
+      walk.cpu.cycles() + walk.hier.l2().stats().read_hits * obs.hit_cycles;
+  const double seconds = sim::TraceCpu::seconds_of(cycles, cfg.clock_ghz);
   ExperimentResult r;
   r.workload = cfg.workload.name;
   r.policy = cfg.policy;
-  r.instructions = rig.cpu.instructions();
-  r.cycles = rig.cpu.cycles();
-  r.ipc = rig.cpu.ipc();
-  r.sim_seconds = rig.cpu.seconds();
-  r.l2_hit_cycles = rig.hit_cycles;
-  r.hier = rig.hier.stats();
-  r.mttf = reliability::compute_mttf(rig.ledger.total_failure_prob(),
-                                     rig.cpu.seconds());
-  r.checks = rig.ledger.checks();
-  r.max_concealed = rig.ledger.max_concealed();
-  r.concealed = rig.ledger.histogram();
-  r.events = policy.events();
-  r.energy = compute_energy(r.events, rig.circuit.energies());
-  r.p_rd = rig.p_rd;
+  r.instructions = walk.cpu.instructions();
+  r.cycles = cycles;
+  r.ipc = sim::TraceCpu::ipc_of(r.instructions, cycles);
+  r.sim_seconds = seconds;
+  r.l2_hit_cycles = obs.hit_cycles;
+  r.hier = walk.hier.stats();
+  r.mttf = reliability::compute_mttf(obs.ledger.total_failure_prob(), seconds);
+  r.checks = obs.ledger.checks();
+  r.max_concealed = obs.ledger.max_concealed();
+  r.concealed = obs.ledger.histogram();
+  r.events = events;
+  r.energy = compute_energy(r.events, obs.circuit.energies());
+  r.p_rd = obs.p_rd;
   return r;
 }
 
 void check_config(const ExperimentConfig& cfg) {
   REAP_EXPECTS(cfg.instructions > 0);
   REAP_EXPECTS(!cfg.workload.patterns.empty());
-}
-
-ExperimentResult run_static(const ExperimentConfig& cfg, ExperimentRig& rig) {
-  return with_policy_impl(cfg.policy, rig.ctx, [&](auto& policy) {
-    // Warmup: populate caches, then reset all accounting.
-    if (cfg.warmup_instructions > 0) {
-      rig.cpu.run_vectorized(cfg.warmup_instructions, policy);
-      rig.reset_accounting();
-      policy.reset_events();
-    }
-    rig.cpu.run_vectorized(cfg.instructions, policy);
-    return collect(cfg, rig, policy);
-  });
+  REAP_EXPECTS(cfg.clock_ghz > 0.0);
 }
 
 }  // namespace
 
+std::vector<ExperimentResult> run_experiment_group(
+    std::span<const ExperimentConfig> cfgs, trace::TraceSource* source) {
+  REAP_EXPECTS(!cfgs.empty());
+  for (const ExperimentConfig& cfg : cfgs) {
+    check_config(cfg);
+    REAP_EXPECTS(same_walk(cfg, cfgs.front()));
+  }
+
+  WalkRig walk(cfgs.front(), source);
+  // Observer rigs are pinned (each policy's context points into its own).
+  std::vector<std::unique_ptr<ObserverRig>> rigs;
+  std::vector<PolicyObservers::Handle> handles;
+  PolicyObservers observers;
+  rigs.reserve(cfgs.size());
+  handles.reserve(cfgs.size());
+  for (const ExperimentConfig& cfg : cfgs) {
+    rigs.push_back(std::make_unique<ObserverRig>(cfg));
+    handles.push_back(observers.add(
+        cfg.policy, rigs.back()->context(cfg, walk.hier.l2())));
+  }
+
+  const ExperimentConfig& first = cfgs.front();
+  // Warmup: populate caches, then reset all accounting.
+  if (first.warmup_instructions > 0) {
+    walk.cpu.run_vectorized(first.warmup_instructions, observers);
+    walk.hier.reset_stats();
+    walk.cpu.reset_counters();
+    for (const auto& rig : rigs) rig->ledger.reset();
+    observers.reset_events();
+  }
+  walk.cpu.run_vectorized(first.instructions, observers);
+
+  std::vector<ExperimentResult> results;
+  results.reserve(cfgs.size());
+  for (std::size_t i = 0; i < cfgs.size(); ++i)
+    results.push_back(
+        collect(cfgs[i], walk, *rigs[i], observers.events(handles[i])));
+  return results;
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-  check_config(cfg);
-  ExperimentRig rig(cfg);
-  return run_static(cfg, rig);
+  return std::move(run_experiment_group({&cfg, 1}).front());
 }
 
 ExperimentResult run_experiment_replay(const ExperimentConfig& cfg,
                                        trace::TraceSource& source) {
-  check_config(cfg);
-  ExperimentRig rig(cfg, &source);
-  return run_static(cfg, rig);
+  return std::move(run_experiment_group({&cfg, 1}, &source).front());
 }
 
 PolicyComparison compare_policies(const ExperimentConfig& cfg,
@@ -181,9 +227,12 @@ PolicyComparison compare_policies(const ExperimentConfig& cfg,
   ExperimentConfig other_cfg = cfg;
   other_cfg.policy = other;
 
+  // One walk feeds both policies (they share every walk field).
+  const ExperimentConfig pair[] = {base_cfg, other_cfg};
+  auto results = run_experiment_group(pair);
   PolicyComparison c;
-  c.base = run_experiment(base_cfg);
-  c.other = run_experiment(other_cfg);
+  c.base = std::move(results[0]);
+  c.other = std::move(results[1]);
   c.mttf_gain = reliability::mttf_ratio(c.other.mttf, c.base.mttf);
   const double eb = c.base.energy.dynamic_total_j();
   const double eo = c.other.energy.dynamic_total_j();

@@ -7,7 +7,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "reap/common/histogram.hpp"
 #include "reap/core/energy.hpp"
@@ -66,27 +68,42 @@ struct ExperimentResult {
   double p_rd = 0.0;  // device operating point used
 };
 
-// Runs one experiment end to end. Dispatch is static: the simulator inner
-// loop (trace batch -> L1 -> L2 -> policy) is instantiated per PolicyKind
-// with no per-access virtual calls. The drive loop is
-// TraceCpu::run_vectorized: batch address pre-decode, software prefetch
-// of upcoming set columns, SIMD set scans where the build enables them
-// (REAP_SIMD). Results are pinned to recorded golden values by
-// tests/core/test_static_dispatch.cpp.
+// Runs every config of `cfgs` over ONE walk of the hierarchy. The tags,
+// LRU state, dirty bits, fills and ones of the L1s and L2 are a function
+// of the walk fields alone -- workload profile, hierarchy, seed,
+// instructions, warmup_instructions -- so one TraceCpu pass drives every
+// config's read-path policy as an observer (core::PolicyObservers): each
+// has its own reads_since_check column, ledger, events, line code and
+// circuit model, and its cycles are the walk's plus its own L2 hit
+// latency per L2 read hit. Results are returned in `cfgs` order and each
+// is byte-identical to running that config alone: a result never depends
+// on which configs share its walk. Configs whose walk fields differ are
+// refused (REAP_EXPECTS).
+//
+// Ops come from `source` when given -- it must yield the byte-identical
+// op sequence WorkloadTraceSource(cfgs[0].workload) would, e.g. a
+// trace::ReplayTraceSource over an arena materialized from it -- and from
+// a fresh generator otherwise. The drive loop is TraceCpu::run_vectorized
+// (batch address pre-decode, software prefetch of upcoming set columns,
+// SIMD set scans where the build enables them), instantiated once over
+// PolicyObservers with no per-access virtual call or switch.
+std::vector<ExperimentResult> run_experiment_group(
+    std::span<const ExperimentConfig> cfgs,
+    trace::TraceSource* source = nullptr);
+
+// Runs one experiment end to end: a group of one. Results are pinned to
+// recorded golden values by tests/core/test_static_dispatch.cpp.
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
-// Same drive loop, but ops are pulled from `source`
-// instead of a freshly constructed WorkloadTraceSource(cfg.workload).
-// `source` must yield the byte-identical op sequence that generator would
-// (e.g. a trace::ReplayTraceSource over an arena materialized from it);
-// results are then byte-identical to run_experiment (golden-pinned by
-// tests/core/test_static_dispatch.cpp). The campaign trace cache hangs off
-// this: one materialized trace serves every point of a paired comparison.
+// A group of one over `source` (see run_experiment_group); results are
+// byte-identical to run_experiment (golden-pinned by
+// tests/core/test_static_dispatch.cpp).
 ExperimentResult run_experiment_replay(const ExperimentConfig& cfg,
                                        trace::TraceSource& source);
 
-// Runs `base` and `other` on the same workload/seed and reports the
-// headline comparisons the paper's figures plot.
+// Runs `base` and `other` on the same workload/seed -- as one group, so
+// one walk feeds both -- and reports the headline comparisons the paper's
+// figures plot.
 struct PolicyComparison {
   ExperimentResult base;
   ExperimentResult other;

@@ -3,9 +3,16 @@
 // access path over. See read_path.hpp for the policy taxonomy.
 //
 // Each impl has the sim hooks shape (on_read_lookup / on_write_lookup /
-// on_fill / on_evict) plus events(). Shared write/fill/evict bookkeeping
-// lives in PolicyImplBase, a CRTP base so the eviction path reaches the
-// derived check_failure without a vtable.
+// on_fill / on_evict / prefetch) plus events(). Shared write/fill/evict
+// bookkeeping lives in PolicyImplBase, a CRTP base so the eviction path
+// reaches the derived check_failure without a vtable.
+//
+// An impl is an *observer* of the L2: the cache's columns (tags, ones,
+// LRU, dirty) are the same whichever policy watches, so the one piece of
+// per-policy line state, reads_since_check, lives here -- a column each
+// impl owns, laid out with the cache's padded stride (PolicyContext::
+// lines) and indexed by the cache's line index. Any number of impls can
+// therefore observe one walk (PolicyObservers below).
 //
 // Loops that only bump accumulation counters go through
 // CacheSetView::accumulate_valid — a whole-set vector kernel
@@ -16,58 +23,80 @@
 // must stay in exact way order.
 #pragma once
 
+#include <tuple>
+#include <type_traits>
+#include <vector>
+
 #include "reap/common/assert.hpp"
 #include "reap/core/read_path.hpp"
 #include "reap/reliability/binomial.hpp"
+#include "reap/sim/simd.hpp"
 
 namespace reap::core {
 
 template <class Derived>
 class PolicyImplBase {
  public:
-  explicit PolicyImplBase(const PolicyContext& ctx) : ctx_(ctx) {
+  explicit PolicyImplBase(const PolicyContext& ctx)
+      : ctx_(ctx), reads_(ctx.lines) {
     REAP_EXPECTS(ctx.model != nullptr);
     REAP_EXPECTS(ctx.ledger != nullptr);
     REAP_EXPECTS(ctx.ways >= 1);
+    REAP_EXPECTS(ctx.lines >= sim::simd::padded_ways(ctx.ways));
   }
 
   const EnergyEvents& events() const { return events_; }
   void reset_events() { events_ = EnergyEvents{}; }
 
+  // This observer's concealed reads since the last ECC check or rewrite
+  // of the line at index `line` (the paper's N - 1).
+  std::uint32_t reads_since_check(std::size_t line) const {
+    return reads_[line];
+  }
+  std::uint32_t& reads_since_check(std::size_t line) { return reads_[line]; }
+
+  void prefetch(std::size_t base) const { sim::simd::prefetch(&reads_[base]); }
+
   void on_write_lookup(sim::CacheSetView set, int hit_way) {
-    (void)set;
     ++events_.lookups;
     ++events_.tag_reads;
     if (hit_way >= 0) {
-      // The hit way's data (and its freshly-encoded ECC) is rewritten; the
-      // cache clears reads_since_check and refreshes ones after this hook.
+      // The hit way's data (and its freshly-encoded ECC) is rewritten, so
+      // every cell is refreshed: its concealed-read window closes.
       ++events_.way_data_writes;
       ++events_.ecc_encodes;
       ++events_.tag_writes;  // dirty-bit / LRU state update
+      reads_[set.base() + static_cast<std::size_t>(hit_way)] = 0;
     }
   }
 
-  void on_fill(sim::LineRel& rel) {
-    (void)rel;
+  void on_fill(std::size_t line) {
+    reads_[line] = 0;  // a freshly written line has no concealed reads
     ++events_.way_data_writes;
     ++events_.ecc_encodes;
     ++events_.tag_writes;
   }
 
-  void on_evict(sim::LineRel& rel, bool dirty) {
+  void on_evict(std::size_t line, std::uint32_t ones, bool dirty) {
     if (!ctx_.check_on_dirty_eviction || !dirty) return;
     // Extension: the victim is read out through the ECC path before its
     // writeback, which both costs a decode and realizes any accumulated
     // uncorrectable state.
     ++events_.ecc_decodes;
     ++events_.way_data_reads;
-    ctx_.ledger->record_unattributed(derived().check_failure(rel));
-    rel.reads_since_check = 0;
+    ctx_.ledger->record_unattributed(
+        derived().check_failure(ones, reads_[line]));
+    reads_[line] = 0;
   }
 
  protected:
   const Derived& derived() const {
     return static_cast<const Derived&>(*this);
+  }
+
+  // This observer's reads_since_check slice for `set` (way w at [w]).
+  std::uint32_t* set_reads(const sim::CacheSetView& set) {
+    return reads_.data() + set.base();
   }
 
   // The Fig. 2 lookup shape: every way sensed in parallel, only the hit
@@ -82,23 +111,27 @@ class PolicyImplBase {
 
     // Every valid way's data is sensed; count the read on all of them,
     // then rewind the hit way, whose read is checked, not concealed.
-    set.accumulate_valid();
+    std::uint32_t* reads = set_reads(set);
+    set.accumulate_valid(reads);
 
     if (hit_way >= 0) {
       // The requested way goes through the single ECC decoder. Its failure
       // probability reflects the disturbance accumulated over the
       // concealed reads since its last check, plus this read (Eq. 3's N).
       ++events_.ecc_decodes;
-      sim::LineRel& line = set.rel(static_cast<std::size_t>(hit_way));
-      const std::uint64_t concealed = line.reads_since_check - 1;
+      const auto w = static_cast<std::size_t>(hit_way);
+      const std::uint64_t concealed = reads[w] - 1;
       ctx_.ledger->record_check(
-          concealed, ctx_.model->conventional(line.ones, concealed + 1));
-      line.reads_since_check = 0;  // checked (and scrubbed) now
+          concealed, ctx_.model->conventional(set.ones(w), concealed + 1));
+      reads[w] = 0;  // checked (and scrubbed) now
     }
   }
 
   PolicyContext ctx_;
   EnergyEvents events_;
+
+ private:
+  sim::simd::AlignedVec<std::uint32_t> reads_;  // reads_since_check column
 };
 
 // Fig. 2: parallel access, single ECC decoder after the way MUX.
@@ -112,8 +145,8 @@ class ConventionalPolicyImpl final
     conventional_read_lookup(set, hit_way);
   }
 
-  double check_failure(const sim::LineRel& rel) const {
-    return ctx_.model->conventional(rel.ones, rel.reads_since_check + 1);
+  double check_failure(std::uint32_t ones, std::uint32_t reads) const {
+    return ctx_.model->conventional(ones, reads + 1);
   }
 };
 
@@ -135,22 +168,23 @@ class ReapPolicyImpl final : public PolicyImplBase<ReapPolicyImpl> {
     // known at the next real read; the physical scrub is what
     // distinguishes this from the conventional counter (the formula, not
     // the bookkeeping, changes).
-    set.accumulate_valid();
+    std::uint32_t* reads = set_reads(set);
+    set.accumulate_valid(reads);
 
     if (hit_way >= 0) {
       // Every read since the last delivery was individually checked and
       // scrubbed; correct delivery requires all N per-read checks to have
       // passed (Eq. 6).
-      sim::LineRel& line = set.rel(static_cast<std::size_t>(hit_way));
-      const std::uint64_t concealed = line.reads_since_check - 1;
+      const auto w = static_cast<std::size_t>(hit_way);
+      const std::uint64_t concealed = reads[w] - 1;
       ctx_.ledger->record_check(concealed,
-                                ctx_.model->reap(line.ones, concealed + 1));
-      line.reads_since_check = 0;
+                                ctx_.model->reap(set.ones(w), concealed + 1));
+      reads[w] = 0;
     }
   }
 
-  double check_failure(const sim::LineRel& rel) const {
-    return ctx_.model->reap(rel.ones, rel.reads_since_check + 1);
+  double check_failure(std::uint32_t ones, std::uint32_t reads) const {
+    return ctx_.model->reap(ones, reads + 1);
   }
 };
 
@@ -167,15 +201,15 @@ class SerialPolicyImpl final : public PolicyImplBase<SerialPolicyImpl> {
 
     // Only the matching way is ever read, after the compare: no concealed
     // reads exist anywhere, so every check sees N = 1.
-    sim::LineRel& line = set.rel(static_cast<std::size_t>(hit_way));
+    const auto w = static_cast<std::size_t>(hit_way);
     ++events_.way_data_reads;
     ++events_.ecc_decodes;
-    REAP_ASSERT(line.reads_since_check == 0);
-    ctx_.ledger->record_check(0, ctx_.model->single(line.ones));
+    REAP_ASSERT(set_reads(set)[w] == 0);
+    ctx_.ledger->record_check(0, ctx_.model->single(set.ones(w)));
   }
 
-  double check_failure(const sim::LineRel& rel) const {
-    return ctx_.model->single(rel.ones);
+  double check_failure(std::uint32_t ones, std::uint32_t) const {
+    return ctx_.model->single(ones);
   }
 };
 
@@ -205,27 +239,27 @@ class RestorePolicyImpl final : public PolicyImplBase<RestorePolicyImpl> {
 
     // Branchy on purpose: every valid way appends a ledger entry, and the
     // ledger sum must accumulate in exact way order.
+    std::uint32_t* reads = set_reads(set);
     for (int w = 0; w < static_cast<int>(set.size()); ++w) {
-      if (!set.valid(static_cast<std::size_t>(w))) continue;
-      sim::LineRel& line = set.rel(static_cast<std::size_t>(w));
+      const auto way = static_cast<std::size_t>(w);
+      if (!set.valid(way)) continue;
       // Restore-after-read: the sensed value (captured before the
       // disturbance manifests) is immediately written back, so no
       // accumulation survives -- but the restore write itself can fail.
       ++events_.way_data_writes;
       if (w == hit_way) {
         ++events_.ecc_decodes;
-        ctx_.ledger->record_check(line.reads_since_check,
-                                  ctx_.model->single(line.ones) +
-                                      p_restore_fail_);
+        ctx_.ledger->record_check(
+            reads[way], ctx_.model->single(set.ones(way)) + p_restore_fail_);
       } else {
         ctx_.ledger->record_unattributed(p_restore_fail_);
       }
-      line.reads_since_check = 0;
+      reads[way] = 0;
     }
   }
 
-  double check_failure(const sim::LineRel& rel) const {
-    return ctx_.model->single(rel.ones);
+  double check_failure(std::uint32_t ones, std::uint32_t) const {
+    return ctx_.model->single(ones);
   }
 
  private:
@@ -261,30 +295,31 @@ class ScrubPolicyImpl final : public PolicyImplBase<ScrubPolicyImpl> {
     ++scrubs_;
     // Scrub access: every way's window closes with a full check, so the
     // ledger sees one entry per valid way — keep exact way order.
+    std::uint32_t* reads = set_reads(set);
     for (int w = 0; w < static_cast<int>(set.size()); ++w) {
       ++events_.ecc_decodes;  // decoder fires even on invalid ways
-      if (!set.valid(static_cast<std::size_t>(w))) continue;
-      sim::LineRel& line = set.rel(static_cast<std::size_t>(w));
+      const auto way = static_cast<std::size_t>(w);
+      if (!set.valid(way)) continue;
       if (w == hit_way) {
         // The requested way is always checked (conventional behaviour).
         // Its window accumulated since the last check or scrub (Eq. 3).
-        const std::uint64_t concealed = line.reads_since_check;
+        const std::uint64_t concealed = reads[way];
         ctx_.ledger->record_check(
-            concealed, ctx_.model->conventional(line.ones, concealed + 1));
+            concealed, ctx_.model->conventional(set.ones(way), concealed + 1));
       } else {
         // Scrubbed concealed way: its window ends here with a full check,
         // so the accumulated risk is realized now instead of at the next
         // real read (same Eq. 3 window, just closed early).
         ctx_.ledger->record_check(
-            line.reads_since_check,
-            ctx_.model->conventional(line.ones, line.reads_since_check + 1));
+            reads[way],
+            ctx_.model->conventional(set.ones(way), reads[way] + 1));
       }
-      line.reads_since_check = 0;
+      reads[way] = 0;
     }
   }
 
-  double check_failure(const sim::LineRel& rel) const {
-    return ctx_.model->conventional(rel.ones, rel.reads_since_check + 1);
+  double check_failure(std::uint32_t ones, std::uint32_t reads) const {
+    return ctx_.model->conventional(ones, reads + 1);
   }
 
  private:
@@ -324,5 +359,90 @@ decltype(auto) with_policy_impl(PolicyKind kind, const PolicyContext& ctx,
   ConventionalPolicyImpl p(ctx);
   return fn(p);
 }
+
+// Every read-path observer of one hierarchy walk: one vector per impl
+// type, so each hook is a fixed run of typed loops -- no per-access switch
+// on PolicyKind, and a group of one runs the same code as a group of
+// many. The observers share nothing but the walk: each owns its
+// reads_since_check column and events, and records into the ledger its
+// context names. This is the L2 hooks type core::run_experiment_group
+// drives the hierarchy with.
+class PolicyObservers {
+ public:
+  // Where an added observer lives: its impl type and its slot there.
+  struct Handle {
+    PolicyKind kind;
+    std::size_t slot;
+  };
+
+  Handle add(PolicyKind kind, const PolicyContext& ctx) {
+    return with_policy_impl(kind, ctx, [&](auto& policy) {
+      using Impl = std::remove_reference_t<decltype(policy)>;
+      auto& slots = std::get<std::vector<Impl>>(impls_);
+      slots.push_back(std::move(policy));
+      return Handle{kind, slots.size() - 1};
+    });
+  }
+
+  const EnergyEvents& events(Handle h) const {
+    const EnergyEvents* out = nullptr;
+    each(*this, [&](const auto& policy, std::size_t slot) {
+      if (std::remove_cvref_t<decltype(policy)>::kKind == h.kind &&
+          slot == h.slot)
+        out = &policy.events();
+    });
+    REAP_EXPECTS(out != nullptr);
+    return *out;
+  }
+
+  void reset_events() {
+    each(*this, [](auto& policy, std::size_t) { policy.reset_events(); });
+  }
+
+  // The hooks shape (sim/cache.hpp NullHooks), fanned out to every
+  // observer.
+  void on_read_lookup(sim::CacheSetView set, int hit_way) {
+    each(*this, [&](auto& policy, std::size_t) {
+      policy.on_read_lookup(set, hit_way);
+    });
+  }
+  void on_write_lookup(sim::CacheSetView set, int hit_way) {
+    each(*this, [&](auto& policy, std::size_t) {
+      policy.on_write_lookup(set, hit_way);
+    });
+  }
+  void on_fill(std::size_t line) {
+    each(*this, [&](auto& policy, std::size_t) { policy.on_fill(line); });
+  }
+  void on_evict(std::size_t line, std::uint32_t ones, bool dirty) {
+    each(*this, [&](auto& policy, std::size_t) {
+      policy.on_evict(line, ones, dirty);
+    });
+  }
+  void prefetch(std::size_t base) const {
+    each(*this, [&](const auto& policy, std::size_t) {
+      policy.prefetch(base);
+    });
+  }
+
+ private:
+  // fn(policy, slot) for every observer, impl type by impl type.
+  template <class Self, class Fn>
+  static void each(Self& self, Fn&& fn) {
+    std::apply(
+        [&](auto&... slots) {
+          const auto visit = [&](auto& impls) {
+            for (std::size_t i = 0; i < impls.size(); ++i) fn(impls[i], i);
+          };
+          (visit(slots), ...);
+        },
+        self.impls_);
+  }
+
+  std::tuple<std::vector<ConventionalPolicyImpl>, std::vector<ReapPolicyImpl>,
+             std::vector<SerialPolicyImpl>, std::vector<RestorePolicyImpl>,
+             std::vector<ScrubPolicyImpl>>
+      impls_;
+};
 
 }  // namespace reap::core

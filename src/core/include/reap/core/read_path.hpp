@@ -13,11 +13,12 @@
 //       of every way is followed by a restore write; accumulation is gone
 //       but each restore risks a write failure and costs write energy.
 //
-// A policy owns the per-line accumulation bookkeeping, the
-// failure-probability ledger entries, and the energy event counts; the
-// cache supplies the mechanism (tags, LRU, dirty bits). The
-// implementations live in policy_impl.hpp as non-virtual types the
-// simulator statically dispatches over (with_policy_impl).
+// A policy owns the per-line accumulation bookkeeping (its own
+// reads_since_check column), the failure-probability ledger entries, and
+// the energy event counts; the cache supplies the mechanism (tags, ones,
+// LRU, dirty bits), which no policy changes. The implementations live in
+// policy_impl.hpp as non-virtual types the simulator statically
+// dispatches over (with_policy_impl, PolicyObservers).
 #pragma once
 
 #include <optional>
@@ -64,6 +65,10 @@ struct PolicyContext {
   const reliability::UncorrectableModel* model = nullptr;  // required
   reliability::FailureLedger* ledger = nullptr;            // required
   std::size_t ways = 8;
+  // Length of the observed cache's per-line columns
+  // (sim::SetAssocCache::lines()): the policy allocates its
+  // reads_since_check column this long. Required.
+  std::size_t lines = 0;
 
   // disruptive_restore only: per-cell write-failure probability and the
   // codeword size being rewritten on each restore.

@@ -17,9 +17,9 @@ SetAssocCache::SetAssocCache(CacheConfig cfg, std::uint64_t seed)
   offset_bits_ = static_cast<unsigned>(std::countr_zero(cfg_.block_bytes));
   index_bits_ = static_cast<unsigned>(std::countr_zero(sets_));
   // Hot columns: 64 B-aligned, stride padded to the vector width, zeroed
-  // (zero = invalid tagv / LineRel{0,0}) -- see the layout note up top.
+  // (zero = invalid tagv / no ones) -- see the layout note up top.
   tags_ = simd::AlignedVec<std::uint64_t>(sets_ * stride_);
-  rel_ = simd::AlignedVec<LineRel>(sets_ * stride_);
+  ones_ = simd::AlignedVec<std::uint32_t>(sets_ * stride_);
   lru_ = simd::AlignedVec<std::uint64_t>(sets_ * stride_);
   // The lru column's padding lanes hold the never-wins sentinel so the
   // vector victim scan can run whole padded sets. Set in every build --
@@ -41,36 +41,21 @@ SetAssocCache::LineInfo SetAssocCache::line_info(std::size_t set,
   info.valid = state_[idx].valid;
   info.dirty = state_[idx].dirty;
   info.tag = tags_[idx] >> 1;
-  info.ones = rel_[idx].ones;
-  info.reads_since_check = rel_[idx].reads_since_check;
+  info.ones = ones_[idx];
   info.lru_stamp = lru_[idx];
   info.fill_stamp = state_[idx].fill_stamp;
   return info;
 }
 
-// random / least_error_rate victim pick -- the cold tail of victim_way
-// (the lru/fifo scans live in the header with the hot paths).
+// random victim pick -- the cold tail of victim_way (the lru/fifo scans
+// live in the header with the hot paths).
 std::size_t SetAssocCache::victim_way_rare(std::size_t set) {
-  const std::size_t base = set * stride_;
-  const LineState* st = &state_[base];
+  const LineState* st = &state_[set * stride_];
   // Invalid ways first.
   for (std::size_t w = 0; w < cfg_.ways; ++w) {
     if (!st[w].valid) return w;
   }
-  if (cfg_.replacement == ReplacementKind::random_repl)
-    return static_cast<std::size_t>(rng_.below(cfg_.ways));
-  // least_error_rate: most accumulated unchecked reads, LRU tie-break.
-  const LineRel* rel = &rel_[base];
-  const std::uint64_t* lru = &lru_[base];
-  std::size_t v = 0;
-  for (std::size_t w = 1; w < cfg_.ways; ++w) {
-    if (rel[w].reads_since_check > rel[v].reads_since_check ||
-        (rel[w].reads_since_check == rel[v].reads_since_check &&
-         lru[w] < lru[v])) {
-      v = w;
-    }
-  }
-  return v;
+  return static_cast<std::size_t>(rng_.below(cfg_.ways));
 }
 
 bool SetAssocCache::invalidate(std::uint64_t addr) {
@@ -80,7 +65,7 @@ bool SetAssocCache::invalidate(std::uint64_t addr) {
   const std::size_t idx = set * stride_ + static_cast<std::size_t>(way);
   const bool was_dirty = state_[idx].dirty;
   tags_[idx] = 0;
-  rel_[idx] = LineRel{};
+  ones_[idx] = 0;
   lru_[idx] = 0;  // stamp 0 = prime victim, like any invalid line
   state_[idx] = LineState{};
   return was_dirty;

@@ -9,19 +9,27 @@
 // Storage is structure-of-arrays, split by access temperature:
 //   tags_  -- dense (tag << 1 | valid) uint64 column; the only data
 //             find_way scans (one 64B host cache line covers an 8-way set)
-//   rel_   -- LineRel {ones, reads_since_check}, the reliability metadata
-//             the policy loop walks on every lookup (8 bytes per line)
+//   ones_  -- uint32 popcount of each line's stored payload, the
+//             reliability input every policy reads on a check
 //   lru_   -- lru-stamp uint64 column: written on every hit (the LRU
 //             touch) and min-scanned on every fill (the victim pick)
 //   state_ -- LineState {valid, dirty, fill stamp}, touched only on
 //             fills/evictions
 //
-// The hot columns (tags_, rel_, lru_) are 64 B-aligned and the per-set
+// Everything here is a function of the access stream alone: no column
+// depends on which read-path policy observes the cache. The one piece of
+// per-policy line state -- reads_since_check, the concealed reads since a
+// line's last ECC check -- is a column each observer owns
+// (core/policy_impl.hpp), laid out with this cache's stride and indexed by
+// the same line index (set_base(set) + way). So one walk of the cache can
+// feed any number of observers.
+//
+// The hot columns (tags_, ones_, lru_) are 64 B-aligned and the per-set
 // stride is padded to the vector width (sim/simd.hpp): an 8-way set's tag
 // column is exactly one host cache line and every whole-set scan --
 // find_way's tag compare, the policies' accumulation walk, the LRU victim
 // scan -- runs in full vectors over padding that can never win (zero for
-// tags/rel, simd::kLruPad for lru). The layout is identical in scalar
+// tags/ones, simd::kLruPad for lru). The layout is identical in scalar
 // builds; only the kernels switch on REAP_SIMD.
 //
 // Dispatch is compile-time: every access path is a template over a hooks
@@ -39,15 +47,6 @@
 
 namespace reap::sim {
 
-// Hot per-line reliability metadata (used by the STT-MRAM L2; ignored for
-// SRAM L1s). Kept to 8 bytes so a policy's per-way loop over an 8-way set
-// stays within one host cache line.
-struct LineRel {
-  std::uint32_t ones = 0;               // popcount of the stored payload
-  std::uint32_t reads_since_check = 0;  // concealed reads since last ECC
-                                        // check / rewrite (paper's N - 1)
-};
-
 // Cold per-line state: the dirty bit and the fifo stamp. `valid` mirrors
 // the tag column's valid bit (the cache is the sole writer of both). The
 // LRU stamp is NOT here -- it lives in its own hot column (lru_), because
@@ -60,52 +59,56 @@ struct LineState {
   std::uint64_t fill_stamp = 0;
 };
 
-// One set's SoA columns, as handed to the policy hooks: the tag|valid
-// column (read-only) and the reliability column (mutable). `padded` says
-// both columns are readable/writable up to simd::padded_ways(ways)
-// entries with zeroed padding -- true for views the cache builds over its
-// own columns, false for views tests construct over raw arrays.
+// One set's SoA columns, as handed to the policy hooks: the tag|valid and
+// ones columns (read-only) and the set's base line index, which locates
+// the set in every observer-owned column (an observer's reads_since_check
+// for way w is column[base() + w]). `padded` says the columns -- the
+// cache's and, by the observer-column contract, the observer's -- are
+// readable/writable up to simd::padded_ways(ways) entries with zeroed
+// padding: true for views the cache builds over its own columns, false
+// for views tests construct over raw arrays.
 class CacheSetView {
  public:
-  CacheSetView(const std::uint64_t* tagv, LineRel* rel, std::size_t ways,
-               bool padded = false)
-      : tagv_(tagv), rel_(rel), ways_(ways), padded_(padded) {}
+  CacheSetView(const std::uint64_t* tagv, const std::uint32_t* ones,
+               std::size_t ways, std::size_t base = 0, bool padded = false)
+      : tagv_(tagv), ones_(ones), ways_(ways), base_(base), padded_(padded) {}
 
   std::size_t size() const { return ways_; }
+  std::size_t base() const { return base_; }
   bool valid(std::size_t way) const { return (tagv_[way] & 1) != 0; }
   // 1 for a valid way, 0 otherwise; lets accumulation loops stay
   // branchless (counter += valid_bit).
   std::uint32_t valid_bit(std::size_t way) const {
     return static_cast<std::uint32_t>(tagv_[way] & 1);
   }
-  LineRel& rel(std::size_t way) const { return rel_[way]; }
+  std::uint32_t ones(std::size_t way) const { return ones_[way]; }
 
   // The policies' shared accumulation walk, whole set per vector:
-  // reads_since_check += valid_bit for every way. Value-identical to the
+  // reads[w] += valid_bit(w) for every way, where `reads` is this set's
+  // slice of an observer column (column + base()). Value-identical to the
   // per-way scalar loop (pinned by tests/sim/test_simd.cpp); the vector
   // form needs the padded-column guarantee.
-  void accumulate_valid() const {
+  void accumulate_valid(std::uint32_t* reads) const {
     if (padded_) {
-      simd::accumulate_valid(tagv_, rel_, ways_);
+      simd::accumulate_valid(tagv_, reads, ways_);
     } else {
-      for (std::size_t w = 0; w < ways_; ++w)
-        rel_[w].reads_since_check += valid_bit(w);
+      for (std::size_t w = 0; w < ways_; ++w) reads[w] += valid_bit(w);
     }
   }
 
  private:
   const std::uint64_t* tagv_;
-  LineRel* rel_;
+  const std::uint32_t* ones_;
   std::size_t ways_;
+  std::size_t base_;
   bool padded_;
 };
 
-// lru/fifo/random are the classic policies; least_error_rate follows the
-// idea of the paper's ref [13] (LER replacement for STT-RAM caches): prefer
-// evicting the line with the most accumulated unchecked reads, so the
-// blocks most at risk of uncorrectable errors leave the cache first.
-// Ties fall back to LRU.
-enum class ReplacementKind { lru, fifo, random_repl, least_error_rate };
+// The classic replacement policies. Each picks its victim from state the
+// access stream alone determines (stamps, the cache's own RNG), never from
+// an observer's reads_since_check, so every observer of one walk sees the
+// same evictions.
+enum class ReplacementKind { lru, fifo, random_repl };
 
 struct CacheConfig {
   std::string name = "cache";
@@ -115,6 +118,7 @@ struct CacheConfig {
   ReplacementKind replacement = ReplacementKind::lru;
 
   std::size_t sets() const { return capacity_bytes / (ways * block_bytes); }
+  bool operator==(const CacheConfig&) const = default;
 };
 
 // The hooks shape every access path is templated over, as a type that
@@ -132,11 +136,18 @@ struct NullHooks {
   // not read the data ways, so they cause no concealed reads.
   void on_write_lookup(CacheSetView, int) {}
 
-  // The line was just filled (ones already set).
-  void on_fill(LineRel&) {}
+  // The line at index `line` (set_base(set) + way) was just filled (ones
+  // already set).
+  void on_fill(std::size_t) {}
 
-  // The (still valid) line is about to be evicted.
-  void on_evict(LineRel&, bool) {}
+  // The (still valid) line at index `line`, holding `ones` set bits, is
+  // about to be evicted.
+  void on_evict(std::size_t, std::uint32_t, bool) {}
+
+  // Software-prefetch the hooks' own per-line state for the set at line
+  // index `base` (the drive loop calls it alongside the cache's
+  // prefetch_set). A hint only.
+  void prefetch(std::size_t) const {}
 };
 
 // Ones-count source for filled lines. A concrete type (not a type-erased
@@ -205,7 +216,13 @@ class SetAssocCache {
 
   // Ones-count provider for filled/rewritten lines; default keeps ones at
   // half the block bits.
-  void set_ones_provider(OnesProvider provider) { ones_ = provider; }
+  void set_ones_provider(OnesProvider provider) { provider_ = provider; }
+
+  // Length of a per-line column laid out like this cache's (sets x the
+  // padded per-set stride): what an observer allocates for its own
+  // reads_since_check column. A line's index is set_base(set) + way.
+  std::size_t lines() const { return sets_ * stride_; }
+  std::size_t set_base(std::size_t set) const { return set * stride_; }
 
   struct Evicted {
     bool any = false;
@@ -233,8 +250,9 @@ class SetAssocCache {
     return true;
   }
 
-  // Write lookup. On a hit the line is rewritten in place (dirty,
-  // accumulation cleared). The installed ones count is kept: providers
+  // Write lookup. On a hit the line is rewritten in place (dirty; the
+  // observers clear their accumulation in on_write_lookup). The installed
+  // ones count is kept: providers
   // are address-deterministic (the OnesProvider contract), so re-deriving
   // it for the same line is the same value -- the hot path skips the
   // probe. Returns hit.
@@ -248,7 +266,6 @@ class SetAssocCache {
     ++stats_.write_hits;
     const std::size_t idx = set * stride_ + static_cast<std::size_t>(way);
     state_[idx].dirty = true;
-    rel_[idx].reads_since_check = 0;  // a rewrite refreshes every cell
     touch(idx);
     return true;
   }
@@ -266,7 +283,7 @@ class SetAssocCache {
     const std::size_t idx = set * stride_ + w;
     LineState& st = state_[idx];
     if (st.valid) {
-      hooks.on_evict(rel_[idx], st.dirty);
+      hooks.on_evict(idx, ones_[idx], st.dirty);
       ev.any = true;
       ev.dirty = st.dirty;
       ev.addr = line_addr(tags_[idx] >> 1, set);
@@ -276,12 +293,11 @@ class SetAssocCache {
     tags_[idx] = (tag << 1) | 1;
     st.valid = true;
     st.dirty = dirty;
-    rel_[idx].ones = ones_.ones_for(addr, default_ones_);
-    rel_[idx].reads_since_check = 0;
+    ones_[idx] = provider_.ones_for(addr, default_ones_);
     st.fill_stamp = ++clock_;
     lru_[idx] = clock_;
     ++stats_.fills;
-    hooks.on_fill(rel_[idx]);
+    hooks.on_fill(idx);
     return ev;
   }
 
@@ -299,7 +315,6 @@ class SetAssocCache {
     bool dirty = false;
     std::uint64_t tag = 0;
     std::uint32_t ones = 0;
-    std::uint32_t reads_since_check = 0;
     std::uint64_t lru_stamp = 0;
     std::uint64_t fill_stamp = 0;
   };
@@ -327,13 +342,13 @@ class SetAssocCache {
   unsigned offset_bits() const { return offset_bits_; }
   unsigned index_bits() const { return index_bits_; }
 
-  // Software-prefetch a set's hot metadata (tag + LineRel + lru columns)
+  // Software-prefetch a set's hot metadata (tag + ones + lru columns)
   // ahead of its lookup. A hint only: no stats, no state, no output
   // effect.
   void prefetch_set(std::size_t set) const {
     const std::size_t base = set * stride_;
     simd::prefetch(&tags_[base]);
-    simd::prefetch(&rel_[base]);
+    simd::prefetch(&ones_[base]);
     simd::prefetch(&lru_[base]);
   }
 
@@ -341,12 +356,12 @@ class SetAssocCache {
   // block would probe (the data-value model's table is far larger than
   // the set columns, and a low-locality op stream misses it constantly).
   // Hint only, like prefetch_set.
-  void prefetch_ones(std::uint64_t addr) const { ones_.prefetch(addr); }
+  void prefetch_ones(std::uint64_t addr) const { provider_.prefetch(addr); }
 
  private:
   CacheSetView view_of(std::size_t set) {
     const std::size_t base = set * stride_;
-    return {&tags_[base], &rel_[base], cfg_.ways, /*padded=*/true};
+    return {&tags_[base], &ones_[base], cfg_.ways, base, /*padded=*/true};
   }
 
   int find_way(std::size_t set, std::uint64_t tagv) const {
@@ -358,7 +373,7 @@ class SetAssocCache {
   // separate invalid-ways pass: an invalid line's stamps are 0 and every
   // valid line's are >= 1 (clock_ pre-increments), so the min-stamp scan
   // already prefers the first invalid way — the same victim the two-pass
-  // form picked. random/LER fall through to the cold helper.
+  // form picked. random falls through to the cold helper.
   std::size_t victim_way(std::size_t set) {
     const std::size_t base = set * stride_;
     switch (cfg_.replacement) {
@@ -387,11 +402,11 @@ class SetAssocCache {
   unsigned offset_bits_;
   unsigned index_bits_;
   simd::AlignedVec<std::uint64_t> tags_;  // dense (tag << 1) | valid column
-  simd::AlignedVec<LineRel> rel_;         // hot reliability column
+  simd::AlignedVec<std::uint32_t> ones_;  // hot payload-popcount column
   simd::AlignedVec<std::uint64_t> lru_;   // hot lru-stamp column
   std::vector<LineState> state_;          // cold valid/dirty/fifo column
   CacheStats stats_;
-  OnesProvider ones_;
+  OnesProvider provider_;
   std::uint32_t default_ones_ = 0;
   std::uint64_t clock_ = 0;
   common::Rng rng_;

@@ -63,11 +63,13 @@ class TraceCpu {
                         l2.index_bits(), pre_set_.data(), pre_tagv_.data());
       }
       // Pull the metadata an op will touch kPrefetchAhead ops from now --
-      // its L2 set columns and its block's ones-memo slot; the
-      // intervening (independent) ops hide the miss latency.
+      // its L2 set columns, the hooks' own columns for that set and its
+      // block's ones-memo slot; the intervening (independent) ops hide
+      // the miss latency.
       if (buf_pos_ + kPrefetchAhead < buf_len_) {
         const std::size_t ahead = buf_pos_ + kPrefetchAhead;
         mem_.prefetch_l2(pre_set_[ahead], buf_[ahead].addr);
+        l2_hooks.prefetch(l2.set_base(pre_set_[ahead]));
       }
       const trace::MemOp op = buf_[buf_pos_];
       const L2Hint hint{pre_set_[buf_pos_], pre_tagv_[buf_pos_]};
@@ -94,13 +96,19 @@ class TraceCpu {
 
   std::uint64_t instructions() const { return instructions_; }
   std::uint64_t cycles() const { return cycles_; }
-  double ipc() const {
-    return cycles_ == 0 ? 0.0
-                        : static_cast<double>(instructions_) /
-                              static_cast<double>(cycles_);
+  double ipc() const { return ipc_of(instructions_, cycles_); }
+  double seconds() const { return seconds_of(cycles_, clock_ghz_); }
+
+  // The two derived timing figures as functions of their inputs, for
+  // callers that derive their own cycle count from a shared walk (a
+  // group's observers, core/experiment.cpp).
+  static double ipc_of(std::uint64_t instructions, std::uint64_t cycles) {
+    return cycles == 0 ? 0.0
+                       : static_cast<double>(instructions) /
+                             static_cast<double>(cycles);
   }
-  double seconds() const {
-    return static_cast<double>(cycles_) / (clock_ghz_ * 1e9);
+  static double seconds_of(std::uint64_t cycles, double clock_ghz) {
+    return static_cast<double>(cycles) / (clock_ghz * 1e9);
   }
   double clock_ghz() const { return clock_ghz_; }
 

@@ -36,6 +36,8 @@ struct HierarchyConfig {
   // Stall cycles beyond the pipelined L1 hit.
   std::uint32_t l2_hit_cycles = 10;
   std::uint32_t mem_cycles = 150;
+
+  bool operator==(const HierarchyConfig&) const = default;
 };
 
 struct HierarchyStats {
@@ -64,7 +66,10 @@ class MemoryHierarchy {
     l2_.set_ones_provider(provider);
   }
 
-  // Override the L2 hit latency (read-path policies differ here).
+  // Override the L2 hit latency. Read-path policies differ here; a shared
+  // walk (core::run_experiment_group) runs at 0 and adds each observer's
+  // latency per L2 read hit afterwards -- l2_read is the only place the
+  // latency enters the cycle count.
   void set_l2_hit_cycles(std::uint32_t cycles) { cfg_.l2_hit_cycles = cycles; }
 
   // Each returns stall cycles beyond the 1-cycle pipelined issue and

@@ -3,7 +3,8 @@
 // The simulated-L2 metadata scans are the hot path's residual cost (see
 // docs/performance.md "Vectorized hot loop"): every lookup scans a set's
 // (tag << 1 | valid) column, and every read lookup walks the same set's
-// LineRel column. Both columns are flat arrays shaped for wide scans, so
+// slice of each observer's reads_since_check column. Both are flat arrays
+// shaped for wide scans, so
 // this header provides the wide scans:
 //
 //   find_way           vector tag-column scan (whole set per compare)
@@ -39,8 +40,8 @@
 #include "reap/trace/record.hpp"
 
 // REAP_SIMD is defined (=1) by CMake's -DREAP_SIMD=ON (the default) on
-// GCC/Clang. The vector path additionally requires little-endian: the
-// LineRel accumulate treats {ones, reads_since_check} as one 64-bit lane.
+// GCC/Clang. The vector path is additionally limited to little-endian
+// targets, the only ones it is built and tested on.
 #if defined(REAP_SIMD) && defined(__GNUC__) && \
     (__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__)
 #define REAP_SIMD_VECTOR 1
@@ -62,8 +63,9 @@ inline constexpr std::size_t kLanes = 4;
 // of the vector width makes every whole-set scan safe to run in full
 // vectors (padding entries are zero, which never matches a valid key --
 // those are odd); keeping 8-byte entries at a 64 B-aligned base means an
-// 8-way set's tag column (and its LineRel column) is exactly one host
-// line, and a 4-way set's 32 B column never straddles two. The padding is
+// 8-way set's tag column is exactly one host line, and a 4-way set's 32 B
+// column (or an 8-way set's 4-byte ones / reads_since_check slice) never
+// straddles two. The padding is
 // applied in scalar builds too, so the layout -- and thus every observable
 // result -- is structurally identical across REAP_SIMD settings.
 inline constexpr std::size_t padded_ways(std::size_t ways) {
@@ -72,7 +74,7 @@ inline constexpr std::size_t padded_ways(std::size_t ways) {
 
 // 64 B-aligned, zero-initialized storage for the hot columns. Only what
 // the cache needs: construct-with-size, data/index access. Zero bytes are
-// the columns' reset state (invalid tagv, LineRel{0,0}).
+// the columns' reset state (invalid tagv, zero ones / reads_since_check).
 template <class T>
 class AlignedVec {
   static_assert(std::is_trivially_copyable_v<T> &&
@@ -259,47 +261,47 @@ inline std::size_t victim_min(const std::uint64_t* stamps, std::size_t ways) {
 
 // --- accumulate_valid -----------------------------------------------------
 //
-// The policy accumulation loop: for each way, reads_since_check +=
-// valid_bit. `rel` points at the set's LineRel column viewed as raw bytes
-// (8 B per line: ones in the low word, reads_since_check in the high word
-// on little-endian). Adding (valid_bit << 32) per 64-bit lane is exactly
-// the scalar uint32 increment -- the carry out of bit 63 is discarded just
-// as the uint32 wrap discards it, and the low word is untouched.
+// The policy accumulation loop: for each way, reads[w] += valid_bit, over
+// one set's slice of an observer's uint32 reads_since_check column. The
+// increment wraps exactly like the scalar uint32 add.
 
-inline void accumulate_valid_scalar(const std::uint64_t* tagv, void* rel,
-                                    std::size_t ways) {
-  unsigned char* bytes = static_cast<unsigned char*>(rel);
-  for (std::size_t w = 0; w < ways; ++w) {
-    std::uint32_t reads;
-    std::memcpy(&reads, bytes + w * 8 + 4, sizeof(reads));
-    reads += static_cast<std::uint32_t>(tagv[w] & 1);
-    std::memcpy(bytes + w * 8 + 4, &reads, sizeof(reads));
-  }
+inline void accumulate_valid_scalar(const std::uint64_t* tagv,
+                                    std::uint32_t* reads, std::size_t ways) {
+  for (std::size_t w = 0; w < ways; ++w)
+    reads[w] += static_cast<std::uint32_t>(tagv[w] & 1);
 }
 
 #if REAP_SIMD_VECTOR
 
+namespace detail {
+
+typedef std::uint32_t v4u32 __attribute__((vector_size(16)));
+
+}  // namespace detail
+
 // Vector form over the padded columns (caller guarantees both columns are
-// valid up to padded_ways(ways) entries). Padding lanes have tagv 0, so
-// their increment is zero: writing them back is a no-op by value.
-inline void accumulate_valid(const std::uint64_t* tagv, void* rel,
+// valid up to padded_ways(ways) entries). Four tag lanes narrow to four
+// uint32 increments per step; padding lanes have tagv 0, so their
+// increment is zero and writing them back is a no-op by value.
+inline void accumulate_valid(const std::uint64_t* tagv, std::uint32_t* reads,
                              std::size_t ways) {
-  std::uint64_t* lanes64 = static_cast<std::uint64_t*>(rel);
   const std::size_t lanes = padded_ways(ways);
   const detail::v4u64 one = {1, 1, 1, 1};
   for (std::size_t base = 0; base < lanes; base += kLanes) {
-    const detail::v4u64 valid = detail::load4(tagv + base) & one;
-    detail::v4u64 r = detail::load4(lanes64 + base);
-    r += valid << 32;
-    detail::store4(lanes64 + base, r);
+    const detail::v4u32 valid = __builtin_convertvector(
+        detail::load4(tagv + base) & one, detail::v4u32);
+    detail::v4u32 r;
+    std::memcpy(&r, reads + base, sizeof(r));
+    r += valid;
+    std::memcpy(reads + base, &r, sizeof(r));
   }
 }
 
 #else  // !REAP_SIMD_VECTOR
 
-inline void accumulate_valid(const std::uint64_t* tagv, void* rel,
+inline void accumulate_valid(const std::uint64_t* tagv, std::uint32_t* reads,
                              std::size_t ways) {
-  accumulate_valid_scalar(tagv, rel, ways);
+  accumulate_valid_scalar(tagv, reads, ways);
 }
 
 #endif  // REAP_SIMD_VECTOR

@@ -19,6 +19,8 @@ namespace reap::trace {
 struct OnesDensitySpec {
   double mean_density = 0.35;   // fraction of '1' bits; SPEC data skews zero-heavy
   double stddev_density = 0.12; // cross-line spread
+
+  bool operator==(const OnesDensitySpec&) const = default;
 };
 
 class DataValueModel {

@@ -328,6 +328,54 @@ TEST(Chaos, TornWriteCrashLeavesAHealableTail) {
   expect_no_duplicate_rows({journal_path});
 }
 
+// A crash on the third member of a trace group: the group's walk already
+// produced every member's result, but only the two rows taken before the
+// crash are durable. --resume re-walks the group for its three remaining
+// members alone; the merged output is byte-identical and no row is
+// journaled twice -- a point's bytes never depend on which points share
+// its walk.
+TEST(Chaos, CrashOnAGroupsThirdMemberResumesByteIdentically) {
+  // mcf x every policy x 2 seeds: two trace groups of five.
+  auto kv = grid4("chaos-group");
+  kv["policies"] = "all";
+  const auto ref = reference_csv(kv, "chaos_group_ref.csv");
+  const auto points = points_of(kv);
+  const auto journal_path = temp_path("chaos_group.journal");
+  std::filesystem::remove(journal_path);
+  const auto log = temp_path("chaos_group.log");
+
+  const auto status = run_to_exit(
+      flag_argv(REAP_CAMPAIGN_BIN, kv,
+                {"--journal=" + journal_path, "--threads=1",
+                 "--baseline=none", "--quiet",
+                 "--inject-fault=runner.point:crash:3"}),
+      log);
+  ASSERT_TRUE(status.exited);
+  EXPECT_EQ(status.code, common::fault::kCrashExit);
+
+  // One thread visits the first group en bloc, members in input order.
+  std::string error;
+  auto journal = read_journal(journal_path, &error);
+  ASSERT_TRUE(journal) << error;
+  std::vector<std::string> group;
+  for (const auto& pt : points)
+    if (pt.trace_key == points.front().trace_key) group.push_back(pt.key);
+  ASSERT_EQ(group.size(), 5u);
+  ASSERT_EQ(journal->rows.size(), 2u);
+  EXPECT_EQ(journal->rows[0].key, group[0]);
+  EXPECT_EQ(journal->rows[1].key, group[1]);
+
+  const auto csv = temp_path("chaos_group_resumed.csv");
+  const auto resumed = run_to_exit(
+      flag_argv(REAP_CAMPAIGN_BIN, kv,
+                {"--journal=" + journal_path, "--resume", "--threads=1",
+                 "--csv=" + csv, "--baseline=none", "--quiet"}),
+      log);
+  EXPECT_TRUE(resumed.success()) << resumed.describe();
+  EXPECT_EQ(file_bytes(ref), file_bytes(csv));
+  expect_no_duplicate_rows({journal_path});
+}
+
 // SIGTERM mid-run: the worker finishes the row in hand, flushes the
 // journal at a row boundary (no torn tail by construction), and exits
 // with the distinct interrupted code; --resume completes byte-identically.

@@ -163,6 +163,13 @@ TEST(Docs, ArchitectureCoversEveryLayer) {
        {"test_runner_determinism", "test_shard_resume", "test_dispatch"})
     EXPECT_NE(arch.find(pin), std::string::npos)
         << "docs/architecture.md does not reference " << pin;
+  // Invariant 2's shared-walk half, with the pins that hold it.
+  for (const char* token :
+       {"never depend on which points share its walk",
+        "run_experiment_group", "GroupMatchesSoloForEveryPolicy",
+        "test_walk_groups", "shared-walk smoke"})
+    EXPECT_NE(arch.find(token), std::string::npos)
+        << "docs/architecture.md does not mention " << token;
   // Invariant 7: the SIMD/scalar build split must be documented with the
   // option that selects it and the pins that hold it.
   for (const char* token :
@@ -180,7 +187,8 @@ TEST(Docs, PerformanceCoversTheVectorizedHotLoop) {
        {"sim/simd.hpp", "find_way", "victim_min", "accumulate_valid",
         "predecode", "REAP_SIMD", "kPrefetchAhead", "E2E/simd",
         "E2E/replay", "BM_CacheFindWay", "BM_BatchAddrDecode",
-        "--gate replay/simd=1.3"})
+        "--gate replay/simd=1.3", "E2E/group", "--gate group/replay=2.0",
+        "PolicyObservers"})
     EXPECT_NE(perf.find(token), std::string::npos)
         << "docs/performance.md does not mention " << token;
 }

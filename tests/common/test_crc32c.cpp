@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 namespace reap::common {
 namespace {
@@ -32,6 +33,40 @@ TEST(Crc32c, SensitiveToSingleBitFlips) {
     std::string damaged = row;
     damaged[i] = static_cast<char>(damaged[i] ^ 0x01);
     EXPECT_NE(crc32c(damaged), clean) << "bit flip at byte " << i;
+  }
+}
+
+// The plain bitwise-per-byte form of the same CRC, one byte at a time:
+// the reference the sliced implementation must equal on every length and
+// alignment. Returns the running (un-finalized) register.
+std::uint32_t crc32c_bytewise_step(std::uint32_t crc, unsigned char byte) {
+  crc ^= byte;
+  for (int k = 0; k < 8; ++k)
+    crc = (crc & 1) ? 0x82F63B78u ^ (crc >> 1) : crc >> 1;
+  return crc;
+}
+
+TEST(Crc32c, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..4096 from start offsets 0..7: every tail length of the
+  // eight-byte stride, at every alignment of the first byte.
+  std::string buf(4096 + 8, '\0');
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (char& ch : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    ch = static_cast<char>(x);
+  }
+  for (std::size_t off = 0; off < 8; ++off) {
+    std::uint32_t reg = 0xFFFFFFFFu;  // reference over buf[off, off + len)
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      if (len > 0)
+        reg = crc32c_bytewise_step(
+            reg, static_cast<unsigned char>(buf[off + len - 1]));
+      ASSERT_EQ(crc32c(std::string_view(buf.data() + off, len)),
+                reg ^ 0xFFFFFFFFu)
+          << "offset " << off << ", length " << len;
+    }
   }
 }
 

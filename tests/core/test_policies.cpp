@@ -1,11 +1,13 @@
 // Unit tests driving the read-path policies directly on synthetic cache
-// sets, verifying the accumulation bookkeeping, ledger entries, and energy
-// event counts of each policy.
+// sets, verifying the accumulation bookkeeping (each policy's own
+// reads_since_check column), ledger entries, and energy event counts of
+// each policy.
 #include "reap/core/policy_impl.hpp"
 
 #include <gtest/gtest.h>
 
 #include <type_traits>
+#include <vector>
 
 #include "reap/reliability/binomial.hpp"
 
@@ -20,23 +22,32 @@ class PolicyFixture : public ::testing::Test {
     ctx_.model = &model_;
     ctx_.ledger = &ledger_;
     ctx_.ways = 4;
+    ctx_.lines = 4;  // one 4-way set at line index 0
     ctx_.write_fail_per_cell = 1e-9;
     ctx_.codeword_bits = 523;
     // 4-way set: ways 0..2 valid with 100 ones each, way 3 invalid.
     for (int w = 0; w < 3; ++w) {
       tagv_[w] = (std::uint64_t(10 + w) << 1) | 1;
-      rel_[w].ones = 100;
+      ones_[w] = 100;
     }
   }
 
-  sim::CacheSetView ways() { return {tagv_, rel_, 4}; }
+  sim::CacheSetView ways() { return {tagv_, ones_, 4}; }
 
   reliability::UncorrectableModel model_;
   reliability::FailureLedger ledger_;
   PolicyContext ctx_;
   std::uint64_t tagv_[4] = {0, 0, 0, 0};
-  sim::LineRel rel_[4];
+  std::uint32_t ones_[4] = {0, 0, 0, 0};
 };
+
+// Every way's reads_since_check in `p`'s own column.
+template <class Policy>
+std::vector<std::uint32_t> reads_of(const Policy& p) {
+  std::vector<std::uint32_t> out;
+  for (std::size_t w = 0; w < 4; ++w) out.push_back(p.reads_since_check(w));
+  return out;
+}
 
 TEST_F(PolicyFixture, FactoryProducesAllKinds) {
   for (const PolicyKind k : all_policies()) {
@@ -61,14 +72,14 @@ TEST_F(PolicyFixture, PolicyNamesRoundTrip) {
 TEST_F(PolicyFixture, ConventionalConcealedReadsAccumulate) {
   ConventionalPolicyImpl p(ctx_);
   p.on_read_lookup(ways(), /*hit_way=*/0);
-  EXPECT_EQ(rel_[0].reads_since_check, 0u);  // checked
-  EXPECT_EQ(rel_[1].reads_since_check, 1u);  // concealed
-  EXPECT_EQ(rel_[2].reads_since_check, 1u);
-  EXPECT_EQ(rel_[3].reads_since_check, 0u);  // invalid: untouched
+  EXPECT_EQ(p.reads_since_check(0), 0u);  // checked
+  EXPECT_EQ(p.reads_since_check(1), 1u);  // concealed
+  EXPECT_EQ(p.reads_since_check(2), 1u);
+  EXPECT_EQ(p.reads_since_check(3), 0u);  // invalid: untouched
 
   p.on_read_lookup(ways(), /*hit_way=*/-1);  // miss: everyone concealed
-  EXPECT_EQ(rel_[0].reads_since_check, 1u);
-  EXPECT_EQ(rel_[1].reads_since_check, 2u);
+  EXPECT_EQ(p.reads_since_check(0), 1u);
+  EXPECT_EQ(p.reads_since_check(1), 2u);
 }
 
 TEST_F(PolicyFixture, ConventionalChecksOnlyHitWay) {
@@ -120,25 +131,19 @@ TEST_F(PolicyFixture, ReapFailureUsesEq6) {
 }
 
 TEST_F(PolicyFixture, ReapStrictlyBeatsConventionalOnAccumulatedLines) {
+  // Both observe the same set; each keeps its own accumulation column.
   ConventionalPolicyImpl pc(ctx_);
   reliability::FailureLedger ledger2;
   PolicyContext ctx2 = ctx_;
   ctx2.ledger = &ledger2;
   ReapPolicyImpl pr(ctx2);
 
-  std::uint64_t tagv2[4];
-  sim::LineRel rel2[4];
-  for (int w = 0; w < 4; ++w) {
-    tagv2[w] = tagv_[w];
-    rel2[w] = rel_[w];
-  }
-  const sim::CacheSetView set2{tagv2, rel2, 4};
   for (int i = 0; i < 50; ++i) {
     pc.on_read_lookup(ways(), 0);
-    pr.on_read_lookup(set2, 0);
+    pr.on_read_lookup(ways(), 0);
   }
   pc.on_read_lookup(ways(), 1);
-  pr.on_read_lookup(set2, 1);
+  pr.on_read_lookup(ways(), 1);
   EXPECT_GT(ledger_.total_failure_prob(), ledger2.total_failure_prob() * 10);
 }
 
@@ -147,8 +152,8 @@ TEST_F(PolicyFixture, ReapStrictlyBeatsConventionalOnAccumulatedLines) {
 TEST_F(PolicyFixture, SerialNeverCreatesConcealedReads) {
   SerialPolicyImpl p(ctx_);
   for (int i = 0; i < 10; ++i) p.on_read_lookup(ways(), 0);
-  EXPECT_EQ(rel_[1].reads_since_check, 0u);
-  EXPECT_EQ(rel_[2].reads_since_check, 0u);
+  EXPECT_EQ(p.reads_since_check(1), 0u);
+  EXPECT_EQ(p.reads_since_check(2), 0u);
 }
 
 TEST_F(PolicyFixture, SerialReadsOnlyHitWay) {
@@ -178,7 +183,7 @@ TEST_F(PolicyFixture, RestoreWritesEveryValidWay) {
 TEST_F(PolicyFixture, RestoreClearsAccumulationEverywhere) {
   RestorePolicyImpl p(ctx_);
   p.on_read_lookup(ways(), 0);
-  for (const auto& line : rel_) EXPECT_EQ(line.reads_since_check, 0u);
+  for (const auto reads : reads_of(p)) EXPECT_EQ(reads, 0u);
 }
 
 TEST_F(PolicyFixture, RestoreChargesWriteFailures) {
@@ -201,7 +206,7 @@ TEST_F(PolicyFixture, ScrubEveryOneMatchesReapDecodeCount) {
   p.on_read_lookup(ways(), 0);
   EXPECT_EQ(p.events().ecc_decodes, 4u);  // all ways, like REAP
   EXPECT_EQ(p.scrubs_performed(), 1u);
-  for (const auto& line : rel_) EXPECT_EQ(line.reads_since_check, 0u);
+  for (const auto reads : reads_of(p)) EXPECT_EQ(reads, 0u);
 }
 
 TEST_F(PolicyFixture, ScrubPeriodicityHonored) {
@@ -219,11 +224,11 @@ TEST_F(PolicyFixture, ScrubClosesConcealedWindowsEarly) {
   // Two conventional lookups accumulate on ways 1 and 2; the third scrubs.
   p.on_read_lookup(ways(), 0);
   p.on_read_lookup(ways(), 0);
-  EXPECT_EQ(rel_[1].reads_since_check, 2u);
+  EXPECT_EQ(p.reads_since_check(1), 2u);
   ledger_.reset();
   p.on_read_lookup(ways(), 0);  // scrub access
-  EXPECT_EQ(rel_[1].reads_since_check, 0u);
-  EXPECT_EQ(rel_[2].reads_since_check, 0u);
+  EXPECT_EQ(p.reads_since_check(1), 0u);
+  EXPECT_EQ(p.reads_since_check(2), 0u);
   // Ledger saw: the hit way (N=1) plus two scrubbed ways (N=3 windows).
   EXPECT_EQ(ledger_.checks(), 3u);
 }
@@ -235,15 +240,9 @@ TEST_F(PolicyFixture, ScrubBetweenConventionalAndReap) {
     PolicyContext ctx = ctx_;
     ctx.ledger = &ledger;
     ctx.scrub_every = every;
-    std::uint64_t tagv[4];
-    sim::LineRel rel[4];
-    for (int w = 0; w < 4; ++w) {
-      tagv[w] = tagv_[w];
-      rel[w] = rel_[w];
-    }
     with_policy_impl(kind, ctx, [&](auto& policy) {
       for (int i = 0; i < 200; ++i) {
-        policy.on_read_lookup({tagv, rel, 4}, i % 50 == 0 ? 1 : 0);
+        policy.on_read_lookup(ways(), i % 50 == 0 ? 1 : 0);
       }
     });
     return ledger.total_failure_prob();
@@ -267,17 +266,28 @@ TEST_F(PolicyFixture, WriteLookupCountsEncodeOnHit) {
   EXPECT_EQ(p.events().lookups, 2u);
 }
 
+TEST_F(PolicyFixture, WriteHitClearsOnlyTheHitWaysAccumulation) {
+  ConventionalPolicyImpl p(ctx_);
+  p.on_read_lookup(ways(), -1);  // ways 0..2 accumulate one concealed read
+  p.on_write_lookup(ways(), 1);  // way 1 rewritten: its window closes
+  EXPECT_EQ(reads_of(p), (std::vector<std::uint32_t>{1, 0, 1, 0}));
+  p.on_write_lookup(ways(), -1);  // a write miss rewrites nothing
+  EXPECT_EQ(reads_of(p), (std::vector<std::uint32_t>{1, 0, 1, 0}));
+}
+
 TEST_F(PolicyFixture, FillCountsAsWrite) {
   ReapPolicyImpl p(ctx_);
-  p.on_fill(rel_[3]);
+  p.reads_since_check(3) = 7;  // whatever the way's previous line left
+  p.on_fill(3);
+  EXPECT_EQ(p.reads_since_check(3), 0u);  // a fresh line starts unread
   EXPECT_EQ(p.events().way_data_writes, 1u);
   EXPECT_EQ(p.events().ecc_encodes, 1u);
 }
 
 TEST_F(PolicyFixture, EvictionCheckOffByDefault) {
   ConventionalPolicyImpl p(ctx_);
-  rel_[0].reads_since_check = 100;
-  p.on_evict(rel_[0], /*dirty=*/true);
+  p.reads_since_check(0) = 100;
+  p.on_evict(0, ones_[0], /*dirty=*/true);
   EXPECT_EQ(ledger_.checks(), 0u);
   EXPECT_EQ(p.events().ecc_decodes, 0u);
 }
@@ -285,14 +295,38 @@ TEST_F(PolicyFixture, EvictionCheckOffByDefault) {
 TEST_F(PolicyFixture, EvictionCheckExtensionChargesDirtyVictims) {
   ctx_.check_on_dirty_eviction = true;
   ConventionalPolicyImpl p(ctx_);
-  rel_[0].reads_since_check = 99;
-  p.on_evict(rel_[0], /*dirty=*/true);
+  p.reads_since_check(0) = 99;
+  p.on_evict(0, ones_[0], /*dirty=*/true);
   EXPECT_EQ(ledger_.checks(), 1u);
   EXPECT_NEAR(ledger_.total_failure_prob(),
               reliability::p_uncorrectable_block_acc(100, 100, kPrd), 1e-18);
+  EXPECT_EQ(p.reads_since_check(0), 0u);
   // Clean victims stay free.
-  p.on_evict(rel_[1], /*dirty=*/false);
+  p.on_evict(1, ones_[1], /*dirty=*/false);
   EXPECT_EQ(ledger_.checks(), 1u);
+}
+
+TEST_F(PolicyFixture, ObserversOfOneSetKeepSeparateColumns) {
+  // PolicyObservers fans every hook out to each observer; an observer's
+  // column moves only by its own policy's rules.
+  reliability::FailureLedger ledger2;
+  PolicyContext ctx2 = ctx_;
+  ctx2.ledger = &ledger2;
+  PolicyObservers obs;
+  const auto conv = obs.add(PolicyKind::conventional_parallel, ctx_);
+  const auto serial = obs.add(PolicyKind::serial_tag_then_data, ctx2);
+  for (int i = 0; i < 3; ++i) obs.on_read_lookup(ways(), 0);
+  EXPECT_EQ(obs.events(conv).ecc_decodes, 3u);
+  EXPECT_EQ(obs.events(serial).ecc_decodes, 3u);
+  EXPECT_EQ(obs.events(conv).way_data_reads, 12u);  // every way, parallel
+  EXPECT_EQ(obs.events(serial).way_data_reads, 3u);  // the hit way only
+  EXPECT_EQ(ledger_.max_concealed(), 0u);
+  obs.on_read_lookup(ways(), 1);  // way 1 had 3 concealed reads, or none
+  EXPECT_EQ(ledger_.max_concealed(), 3u);
+  EXPECT_EQ(ledger2.max_concealed(), 0u);
+  obs.reset_events();
+  EXPECT_EQ(obs.events(conv).lookups, 0u);
+  EXPECT_EQ(obs.events(serial).lookups, 0u);
 }
 
 TEST_F(PolicyFixture, ResetEventsZeroes) {

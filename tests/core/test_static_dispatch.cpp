@@ -4,7 +4,9 @@
 // PolicyKind, and run_experiment_replay must be byte-identical to it. Any
 // divergence means a change moved an observable result, not just its
 // speed. The suite runs unchanged under REAP_SIMD=OFF (the CI
-// scalar-fallback leg), so the table is pinned on both builds.
+// scalar-fallback leg), so the table is pinned on both builds. The last
+// section pins shared walks: run_experiment_group must give every member
+// the result it gets alone, golden rows included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -667,6 +669,100 @@ TEST(StaticDispatch, ReplayIdenticalWithoutWarmup) {
       trace::MaterializedTrace::materialize(gen, cfg.instructions);
   trace::ReplayTraceSource source(trace);
   expect_identical(run_experiment_replay(cfg, source), run_experiment(cfg));
+}
+
+// ------------------------------------------------------------ group walks
+//
+// run_experiment_group drives every member of a group from one hierarchy
+// walk. A point's result must never depend on which points share its walk
+// (architecture invariant 2).
+
+TEST(StaticDispatch, GoldenRowsHoldInOneFivePolicyGroup) {
+  std::vector<const Golden*> rows;
+  std::vector<ExperimentConfig> cfgs;
+  for (const PolicyKind kind : all_policies()) {
+    rows.push_back(&golden("perlbench", kind));
+    cfgs.push_back(config_of(*rows.back()));
+  }
+  const auto results = run_experiment_group(cfgs);
+  ASSERT_EQ(results.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    expect_golden(results[i], *rows[i]);
+}
+
+TEST(StaticDispatch, GoldenRowsHoldInGroupsOverReplayedBatches) {
+  // The remaining rows, each with the golden rows of its own walk, fed
+  // through short uneven batches; the gcc scrub row (scrub_every = 16,
+  // dirty-eviction check on) shares its walk with non-golden members.
+  const auto check = [](const std::vector<const Golden*>& rows,
+                        std::vector<ExperimentConfig> extra) {
+    std::vector<ExperimentConfig> cfgs;
+    for (const Golden* g : rows) cfgs.push_back(config_of(*g));
+    cfgs.insert(cfgs.end(), extra.begin(), extra.end());
+    ShortBatchSource source(cfgs.front().workload);
+    const auto results = run_experiment_group(cfgs, &source);
+    ASSERT_EQ(results.size(), cfgs.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      expect_golden(results[i], *rows[i]);
+  };
+  check({&golden("h264ref", PolicyKind::conventional_parallel),
+         &golden("h264ref", PolicyKind::reap)},
+        {});
+  check({&golden("mcf", PolicyKind::reap),
+         &golden("mcf", PolicyKind::disruptive_restore)},
+        {});
+  const Golden& scrub = golden("gcc", PolicyKind::scrub_piggyback);
+  auto conventional = config_of(scrub);
+  conventional.policy = PolicyKind::conventional_parallel;
+  auto reap_t2 = config_of(scrub);
+  reap_t2.policy = PolicyKind::reap;
+  reap_t2.ecc_t = 2;
+  check({&scrub}, {conventional, reap_t2});
+}
+
+TEST(StaticDispatch, GroupMatchesSoloForEveryPolicy) {
+  // Every policy at ecc_t 1 and 2, scrub_every = 16, the dirty-eviction
+  // check on, one member at another clock; with and without warm-up.
+  for (const std::uint64_t warmup : {std::uint64_t{0}, std::uint64_t{20'000}}) {
+    std::vector<ExperimentConfig> cfgs;
+    for (const unsigned ecc_t : {1u, 2u}) {
+      for (const PolicyKind kind : all_policies()) {
+        auto cfg = small_cfg("gcc", kind);
+        cfg.warmup_instructions = warmup;
+        cfg.ecc_t = ecc_t;
+        cfg.scrub_every = 16;
+        cfg.check_on_dirty_eviction = true;
+        cfgs.push_back(cfg);
+      }
+    }
+    cfgs.back().clock_ghz = 3.0;
+    const auto group = run_experiment_group(cfgs);
+    ASSERT_EQ(group.size(), cfgs.size());
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      SCOPED_TRACE(to_string(cfgs[i].policy) + " ecc_t=" +
+                   std::to_string(cfgs[i].ecc_t) +
+                   " warmup=" + std::to_string(warmup));
+      expect_identical(group[i], run_experiment(cfgs[i]));
+    }
+  }
+}
+
+TEST(StaticDispatch, GroupRefusesMismatchedWalkFields) {
+  const auto base = small_cfg("mcf", PolicyKind::reap);
+  const auto refused = [&](const char* what, auto mutate) {
+    SCOPED_TRACE(what);
+    std::vector<ExperimentConfig> cfgs = {base, base};
+    mutate(cfgs[1]);
+    EXPECT_DEATH(run_experiment_group(cfgs), "same_walk");
+  };
+  refused("workload", [](ExperimentConfig& c) {
+    c.workload = *trace::spec2006_profile("gcc");
+  });
+  refused("workload seed", [](ExperimentConfig& c) { c.workload.seed ^= 1; });
+  refused("hierarchy", [](ExperimentConfig& c) { c.hierarchy.l2.ways = 16; });
+  refused("seed", [](ExperimentConfig& c) { ++c.seed; });
+  refused("instructions", [](ExperimentConfig& c) { ++c.instructions; });
+  refused("warmup", [](ExperimentConfig& c) { ++c.warmup_instructions; });
 }
 
 TEST(StaticDispatch, OneArenaServesManySequentialReplays) {

@@ -27,6 +27,10 @@ policies falls below MIN. The geomean -- not the per-policy minimum -- is
 gated because single-policy ratios on shared CI runners are noisy; the
 floors are held down by bench/bench_e2e.cpp's series semantics and the
 measured ratios recorded in docs/performance.md.
+
+A series may also be policy-less: one E2E/<series> benchmark (E2E/group,
+one walk feeding every policy). Gated against a per-policy series, it is
+compared with that series' geomean items_per_second across policies.
 """
 
 import argparse
@@ -85,12 +89,20 @@ def run_gates(path, gates):
         print(f"cannot read {path}: {e}", file=sys.stderr)
         return 2
 
-    # E2E/<series>/<policy> -> series[policy] = items_per_second.
+    # E2E/<series>/<policy> -> series[policy] = items_per_second; a
+    # policy-less E2E/<series> -> series[None].
     series = {}
     for name, b in benches.items():
         parts = name.split("/")
-        if len(parts) == 3 and parts[0] == "E2E" and "items_per_second" in b:
+        if parts[0] != "E2E" or "items_per_second" not in b:
+            continue
+        if len(parts) == 3:
             series.setdefault(parts[1], {})[parts[2]] = b["items_per_second"]
+        elif len(parts) == 2:
+            series.setdefault(parts[1], {})[None] = b["items_per_second"]
+
+    def geomean(values):
+        return math.exp(sum(math.log(v) for v in values) / len(values))
 
     failures = []
     for num, den, floor in gates:
@@ -100,19 +112,34 @@ def run_gates(path, gates):
                       f"{path} (have: {', '.join(sorted(series)) or 'none'})",
                       file=sys.stderr)
                 return 2
+        print(f"gate {num}/{den} (floor {floor:g}):")
+        if None in series[num] or None in series[den]:
+            # A policy-less side: compare whole-series rates, a per-policy
+            # side entering as its geomean across policies.
+            rates = []
+            for side in (num, den):
+                per = series[side]
+                rate = per[None] if None in per else geomean(list(per.values()))
+                what = "" if None in per else f" (geomean of {len(per)})"
+                print(f"  E2E/{side:<14} {fmt_rate(rate):>12}{what}")
+                rates.append(rate)
+            g = rates[0] / rates[1]
+            print(f"  ratio {g:.3f}x -> {'OK' if g >= floor else 'FAIL'}")
+            if g < floor:
+                failures.append((num, den, g, floor))
+            continue
         policies = sorted(set(series[num]) & set(series[den]))
         if not policies:
             print(f"gate {num}/{den}: the two series share no policies",
                   file=sys.stderr)
             return 2
         ratios = []
-        print(f"gate {num}/{den} (floor {floor:g}):")
         for p in policies:
             r = series[num][p] / series[den][p]
             ratios.append(r)
             print(f"  {p:<16} {fmt_rate(series[num][p]):>12} /"
                   f" {fmt_rate(series[den][p]):>12} = {r:.3f}x")
-        g = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+        g = geomean(ratios)
         ok = g >= floor
         print(f"  geomean {g:.3f}x -> {'OK' if ok else 'FAIL'}")
         if not ok:
@@ -122,8 +149,7 @@ def run_gates(path, gates):
         print(f"\nFAIL: {len(failures)} gate(s) below floor:",
               file=sys.stderr)
         for num, den, g, floor in failures:
-            print(f"  {num}/{den}: geomean {g:.3f}x < {floor:g}x",
-                  file=sys.stderr)
+            print(f"  {num}/{den}: {g:.3f}x < {floor:g}x", file=sys.stderr)
         return 1
     print(f"\nOK: all {len(gates)} gate(s) at or above their floors")
     return 0
