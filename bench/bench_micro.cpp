@@ -1,8 +1,10 @@
 // Microbenchmarks (google-benchmark): throughput of the substrates the
 // evaluation rests on -- ECC codecs, the reliability math, the cache
-// simulator, and trace generation.
+// simulator, trace generation, and the CRC32C that verifies the trace
+// store and journal rows.
 #include <benchmark/benchmark.h>
 
+#include "reap/common/crc32c.hpp"
 #include "reap/common/rng.hpp"
 #include "reap/core/experiment.hpp"
 #include "reap/core/policy_impl.hpp"
@@ -25,6 +27,29 @@ common::BitVec random_data(std::size_t n, std::uint64_t seed) {
     if (rng.chance(0.5)) v.set(i);
   return v;
 }
+
+// CRC32C over `state.range(0)` bytes: a journal row (64 B), a frame
+// batch (64 KiB) and a store body (16 MiB). bytes_per_second is the
+// figure to compare; Dispatched is labelled with the kernel it runs.
+void crc32c_bench(benchmark::State& state,
+                  std::uint32_t (*crc)(std::string_view)) {
+  std::string buf(static_cast<std::size_t>(state.range(0)), '\0');
+  common::Rng rng(0xC3C32);
+  for (char& ch : buf) ch = static_cast<char>(rng.next());
+  for (auto _ : state) benchmark::DoNotOptimize(crc(buf));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
+void BM_Crc32cPortable(benchmark::State& state) {
+  crc32c_bench(state, common::detail::crc32c_portable);
+}
+BENCHMARK(BM_Crc32cPortable)->Arg(64)->Arg(64 << 10)->Arg(16 << 20);
+
+void BM_Crc32cDispatched(benchmark::State& state) {
+  crc32c_bench(state, common::crc32c);
+  state.SetLabel(common::detail::crc32c_kernel_name());
+}
+BENCHMARK(BM_Crc32cDispatched)->Arg(64)->Arg(64 << 10)->Arg(16 << 20);
 
 void BM_SecDedEncode512(benchmark::State& state) {
   ecc::SecDedCode code(512);

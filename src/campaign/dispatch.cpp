@@ -329,9 +329,6 @@ DispatchResult Dispatcher::run() {
     plan.flags.push_back("--shard=" + std::to_string(shard_i) + "/" +
                          std::to_string(n_shards));
     plan.flags.push_back("--threads=" + std::to_string(opts_.worker_threads));
-    if (opts_.trace_cache_mb > 0)
-      plan.flags.push_back("--trace-cache-mb=" +
-                           std::to_string(opts_.trace_cache_mb));
     if (!opts_.trace_dir.empty())
       plan.flags.push_back("--trace-dir=" + opts_.trace_dir);
     plan.flags.push_back("--baseline=none");

@@ -99,11 +99,9 @@ struct DispatchOptions {
   // workers x worker_threads simulation threads.
   std::size_t worker_threads = 1;
 
-  // --trace-cache-mb for each worker (0 = off): workers materialize each
-  // paired trace once and replay it across the policy/ecc/scrub axes.
-  // Per-worker caches — processes share nothing — so shards split by
-  // index stripe each materialize their own copy of a group's trace (see
-  // docs/campaign.md on how trace grouping interacts with --shard).
+  // --trace-cache-mb: accepted and not forwarded. A worker runs each of
+  // its trace groups as one walk that reads the trace once, so there is
+  // nothing for a trace cache to hit (docs/campaign.md).
   std::size_t trace_cache_mb = 0;
 
   // --trace-dir for each worker (empty = off): workers mmap .reaptrace

@@ -6,8 +6,6 @@
 
 namespace reap::campaign {
 
-struct TraceCacheStats;
-
 // Prints "  done/total (pct%)  rows/s  elapsed .. eta" to `out`, rewriting
 // the line when `out` is a terminal-ish stream. Rate-limited so a fast
 // grid does not flood the log, with the limiter check first so the
@@ -17,18 +15,11 @@ class ProgressReporter {
  public:
   explicit ProgressReporter(std::FILE* out = stderr) : out_(out) {}
 
-  // Appends a "trace NhNm" hit/miss field to the line, sampled from
-  // `stats` (borrowed; must outlive the reporter). The sample happens
-  // after the rate limiter, so the common path stays a clock read and a
-  // compare — same discipline as the rows/s field.
-  void watch_trace_cache(const TraceCacheStats* stats) { cache_ = stats; }
-
   void operator()(std::size_t done, std::size_t total);
 
  private:
   using Clock = std::chrono::steady_clock;
   std::FILE* out_;
-  const TraceCacheStats* cache_ = nullptr;
   Clock::time_point start_ = Clock::now();
   Clock::time_point last_print_{};
   bool started_ = false;

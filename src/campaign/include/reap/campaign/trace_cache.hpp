@@ -8,7 +8,10 @@
 // RNG-driven generation cost is paid once per *trace*, not once per grid
 // point. Combined with the runner's group_key schedule (points of one
 // trace group run contiguously), a cap of roughly one trace per worker
-// thread already serves a whole campaign.
+// thread already serves a whole campaign. reap_campaign itself no longer
+// uses it: each trace group there is one walk that reads its trace once
+// (walk_groups.hpp), so only per-point callers such as the perfbench
+// traced harness have anything to share.
 //
 // Memory discipline: the cache accounts the real arena bytes of every
 // trace it retains and evicts least-recently-used idle entries to stay

@@ -1,7 +1,5 @@
 #include "reap/campaign/progress.hpp"
 
-#include "reap/campaign/trace_cache.hpp"
-
 namespace reap::campaign {
 
 void ProgressReporter::operator()(std::size_t done, std::size_t total) {
@@ -29,15 +27,6 @@ void ProgressReporter::operator()(std::size_t done, std::size_t total) {
                done, total,
                100.0 * static_cast<double>(done) / static_cast<double>(total),
                rate, elapsed, eta);
-  if (cache_) {
-    // Relaxed snapshots: the counters move under the workers' feet and the
-    // field is informational, not an invariant.
-    const auto h = cache_->hits.load(std::memory_order_relaxed);
-    const auto m = cache_->misses.load(std::memory_order_relaxed);
-    std::fprintf(out_, "  trace %lluh/%llum",
-                 static_cast<unsigned long long>(h),
-                 static_cast<unsigned long long>(m));
-  }
   if (done == total) std::fputc('\n', out_);
   std::fflush(out_);
 }

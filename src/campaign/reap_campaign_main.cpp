@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   // unknown flag is refused before any simulation or output.
   const bool has_shard = args.has("shard");
   const std::string shard_text = args.get_string("shard", "");
-  // Trace replay: 0 (default) = off, generate per point exactly as before.
+  // Accepted for scripts that pass it; no longer changes the op source.
   const std::uint64_t trace_cache_mb = args.get_u64("trace-cache-mb", 0);
   // Trace store: keys that resolve to a .reaptrace file in this directory
   // replay the mmapped file instead of generating (see docs/campaign.md,
@@ -186,26 +186,18 @@ int main(int argc, char** argv) {
       std::printf("shard %zu/%zu: %zu points\n", shard_index, shard_count,
                   mine.size());
     // The trace-group plan, next to the shard plan: how many distinct
-    // traces this (shard of the) grid replays and the estimated peak of
-    // materialized bytes — with grouped scheduling, one trace per worker
-    // thread is live at a time, plus whatever the cache retains.
+    // traces (and so hierarchy walks) this (shard of the) grid runs, and
+    // the largest one's size as a store file.
     const auto plan = campaign::trace_plan(mine);
-    campaign::RunnerOptions thread_probe;
-    thread_probe.threads = threads;
-    const unsigned run_threads =
-        campaign::CampaignRunner(thread_probe).effective_threads(mine.size());
+    std::printf(
+        "trace groups: %zu (one walk each, trace generated inline unless "
+        "--trace-dir has it; largest ~%.1f MB as a store file)\n",
+        plan.groups, mb(plan.largest_bytes));
     if (trace_cache_mb > 0)
       std::printf(
-          "trace groups: %zu (largest ~%.1f MB; est. peak ~%.1f MB "
-          "materialized on %u threads, cache cap %llu MB)\n",
-          plan.groups, mb(plan.largest_bytes),
-          mb(plan.largest_bytes * run_threads), run_threads,
+          "--trace-cache-mb=%llu has no effect: each group's walk reads its "
+          "trace once\n",
           static_cast<unsigned long long>(trace_cache_mb));
-    else
-      std::printf(
-          "trace groups: %zu (largest ~%.1f MB; replay off — enable with "
-          "--trace-cache-mb=N)\n",
-          plan.groups, mb(plan.largest_bytes));
     if (!trace_dir.empty()) {
       std::unordered_set<std::string> keys, found;
       for (const auto& pt : mine) {
@@ -405,34 +397,21 @@ int main(int argc, char** argv) {
 
   // Shared walks: the schedule is grouped by trace identity and every
   // to-run point of one trace_key comes out of a single hierarchy walk
-  // (campaign::WalkGroups over core::run_experiment_group) -- on every
-  // path. The op source is the one each point would use alone: with
-  // --trace-cache-mb the group replays the trace materialized once into
-  // the cache; keys with a store file replay the mmapped arena (borrowed
-  // traces account zero bytes, so the cache retains them for free even at
-  // cap 0: --trace-dir alone); otherwise the walk generates its trace
-  // inline, once per group.
-  std::optional<campaign::TraceCache> trace_cache;
-  if (trace_cache_mb > 0 || !mapped_traces.empty())
-    trace_cache.emplace(static_cast<std::size_t>(trace_cache_mb) << 20);
+  // (campaign::WalkGroups over core::run_experiment_group). Keys with a
+  // store file replay the mmapped arena; every other group generates its
+  // trace inline, once, while the walk runs. The walk reads each trace
+  // exactly once, so materializing it into a cache (--trace-cache-mb)
+  // could never be repaid by a hit: the flag is accepted and ignored.
   campaign::WalkGroups walks(
-      to_run, [&trace_cache, &mapped_traces, trace_cache_mb](
-                  const std::vector<const campaign::CampaignPoint*>& members) {
+      to_run,
+      [&mapped_traces](
+          const std::vector<const campaign::CampaignPoint*>& members) {
         std::vector<core::ExperimentConfig> cfgs;
         cfgs.reserve(members.size());
         for (const auto* member : members) cfgs.push_back(member->config);
-        const campaign::CampaignPoint& pt = *members.front();
-        const auto it = mapped_traces.find(pt.trace_key);
-        if (it == mapped_traces.end() && trace_cache_mb == 0)
-          return core::run_experiment_group(cfgs);
-        const auto trace = trace_cache->acquire(pt.trace_key, [&] {
-          if (it != mapped_traces.end()) return it->second;  // shares the mmap
-          const std::uint64_t budget =
-              pt.config.warmup_instructions + pt.config.instructions;
-          trace::WorkloadTraceSource gen(pt.config.workload);
-          return trace::MaterializedTrace::materialize(gen, budget);
-        });
-        trace::ReplayTraceSource source(*trace);
+        const auto it = mapped_traces.find(members.front()->trace_key);
+        if (it == mapped_traces.end()) return core::run_experiment_group(cfgs);
+        trace::ReplayTraceSource source(it->second);  // shares the mmap
         return core::run_experiment_group(cfgs, &source);
       });
   opts.group_key = [](const campaign::CampaignPoint& pt) {
@@ -441,7 +420,6 @@ int main(int argc, char** argv) {
   opts.run_point_fn = [&walks](const campaign::CampaignPoint& pt) {
     return walks.take(pt);
   };
-  if (!quiet && trace_cache) progress.watch_trace_cache(&trace_cache->stats());
 
   campaign::CampaignRunner runner(opts);
   std::printf("campaign '%s': %zu points on %u threads\n", spec->name.c_str(),

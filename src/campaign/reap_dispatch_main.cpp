@@ -171,25 +171,20 @@ int main(int argc, char** argv) {
         plan->workers, std::min(plan->workers, plan->n_shards));
     std::printf("work dir: %s\n", opts.work_dir.c_str());
     // Trace-group plan next to the shard plan. Index striping scatters a
-    // trace group's points across every shard, so each worker
-    // materializes its shard's groups independently (caches are
-    // per-process).
+    // trace group's points across every shard, so each worker that runs a
+    // member walks (and generates, unless --trace-dir has it) the trace.
     const auto tplan = campaign::trace_plan(points);
-    const double largest_mb =
-        static_cast<double>(tplan.largest_bytes) / (1024.0 * 1024.0);
+    std::printf(
+        "trace groups: %zu (one walk per worker that runs a member, trace "
+        "generated inline unless --trace-dir has it; largest ~%.1f MB as a "
+        "store file)\n",
+        tplan.groups,
+        static_cast<double>(tplan.largest_bytes) / (1024.0 * 1024.0));
     if (opts.trace_cache_mb > 0)
       std::printf(
-          "trace groups: %zu (largest ~%.1f MB; est. peak ~%.1f MB "
-          "materialized per worker, cache cap %zu MB each)\n",
-          tplan.groups, largest_mb,
-          largest_mb * static_cast<double>(
-                           std::max<std::size_t>(1, opts.worker_threads)),
+          "--trace-cache-mb=%zu has no effect: each group's walk reads its "
+          "trace once\n",
           opts.trace_cache_mb);
-    else
-      std::printf(
-          "trace groups: %zu (largest ~%.1f MB; replay off — enable with "
-          "--trace-cache-mb=N)\n",
-          tplan.groups, largest_mb);
     for (std::size_t i = 0; i < plan->n_shards; ++i)
       std::printf("  shard %zu/%zu: %zu points  (%s --shard=%zu/%zu ...)\n",
                   i, plan->n_shards,

@@ -201,8 +201,8 @@ TEST(TraceCacheEviction, TightCapEvictsAndStaysUnderCapWithIdenticalResults) {
   // yields one miss per group; the group switch evicts.
   EXPECT_EQ(cache.stats().misses.load(), 2u);
   EXPECT_GE(cache.stats().evictions.load(), 1u);
-  // The accounting invariant the --trace-cache-mb contract promises: peak
-  // accounted bytes never exceeded the cap.
+  // The accounting invariant the cache's cap promises: peak accounted
+  // bytes never exceeded the cap.
   EXPECT_LE(cache.stats().peak_bytes.load(), cap);
   EXPECT_GT(cache.stats().peak_bytes.load(), 0u);
 }
@@ -307,10 +307,9 @@ TEST(TraceCache, ConcurrentAcquiresMaterializeOnce) {
 }
 
 TEST(TraceCache, BorrowedMappedTracesAreRetainedAtZeroCost) {
-  // --trace-dir's contract: a trace borrowed from an mmapped store file
-  // accounts zero bytes (the pages are the kernel's to reclaim), so even
-  // a cap-0 cache — --trace-dir without --trace-cache-mb — retains every
-  // mapped trace instead of treating it as an oversize bypass.
+  // A trace borrowed from an mmapped store file accounts zero bytes (the
+  // pages are the kernel's to reclaim), so even a cap-0 cache retains
+  // every mapped trace instead of treating it as an oversize bypass.
   const auto path = temp_path("cache_borrow.reaptrace");
   const auto owned = tiny_trace(4, 256);
   std::string error;

@@ -1,10 +1,13 @@
-// CRC32C is part of the journal's on-disk format: these known-answer
-// vectors pin the function to the standard Castagnoli variant so a
-// refactor can never silently change the checksum of existing journals.
+// CRC32C is part of the journal's and the trace store's on-disk formats:
+// these known-answer vectors pin the function to the standard Castagnoli
+// variant so a refactor can never silently change the checksum of
+// existing files, and the bytewise cross-check holds the hardware kernel
+// and the portable one to the same values.
 #include "reap/common/crc32c.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -37,8 +40,8 @@ TEST(Crc32c, SensitiveToSingleBitFlips) {
 }
 
 // The plain bitwise-per-byte form of the same CRC, one byte at a time:
-// the reference the sliced implementation must equal on every length and
-// alignment. Returns the running (un-finalized) register.
+// the reference both kernels must equal on every length and alignment.
+// Returns the running (un-finalized) register.
 std::uint32_t crc32c_bytewise_step(std::uint32_t crc, unsigned char byte) {
   crc ^= byte;
   for (int k = 0; k < 8; ++k)
@@ -46,10 +49,39 @@ std::uint32_t crc32c_bytewise_step(std::uint32_t crc, unsigned char byte) {
   return crc;
 }
 
+// crc32c() runs whichever kernel this CPU selected; the portable
+// slicing-by-8 kernel is checked on its own so both stay pinned wherever
+// the suite runs.
+struct Kernel {
+  const char* name;
+  std::uint32_t (*fn)(std::string_view);
+};
+const Kernel kKernels[] = {{"dispatched", crc32c},
+                           {"portable", detail::crc32c_portable}};
+
+// The lengths at which the hardware kernel changes path: three 256-byte
+// streams, three 8192-byte streams, both in turn, two long chunks, and a
+// 1 MiB buffer that runs every stage.
+constexpr std::size_t kBlockEdges[] = {3 * 256,
+                                       3 * 8192,
+                                       3 * 8192 + 7,
+                                       3 * 8192 + 3 * 256,
+                                       2 * 3 * 8192,
+                                       1 << 20};
+
+bool checked_length(std::size_t len) {
+  if (len <= 4096) return true;
+  for (const std::size_t edge : kBlockEdges)
+    if (len + 8 >= edge && len <= edge + 8) return true;
+  return false;
+}
+
 TEST(Crc32c, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
-  // Lengths 0..4096 from start offsets 0..7: every tail length of the
-  // eight-byte stride, at every alignment of the first byte.
-  std::string buf(4096 + 8, '\0');
+  // Lengths 0..4096 and every length within 8 bytes of a block edge, from
+  // start offsets 0..7: every tail length of the eight-byte stride and of
+  // each three-stream block, at every alignment of the first byte.
+  constexpr std::size_t kMaxLen = (1 << 20) + 8;
+  std::string buf(kMaxLen + 8, '\0');
   std::uint64_t x = 0x9E3779B97F4A7C15ull;
   for (char& ch : buf) {
     x ^= x << 13;
@@ -59,15 +91,37 @@ TEST(Crc32c, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
   }
   for (std::size_t off = 0; off < 8; ++off) {
     std::uint32_t reg = 0xFFFFFFFFu;  // reference over buf[off, off + len)
-    for (std::size_t len = 0; len <= 4096; ++len) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
       if (len > 0)
         reg = crc32c_bytewise_step(
             reg, static_cast<unsigned char>(buf[off + len - 1]));
-      ASSERT_EQ(crc32c(std::string_view(buf.data() + off, len)),
-                reg ^ 0xFFFFFFFFu)
-          << "offset " << off << ", length " << len;
+      if (!checked_length(len)) continue;
+      for (const Kernel& k : kKernels)
+        ASSERT_EQ(k.fn(std::string_view(buf.data() + off, len)),
+                  reg ^ 0xFFFFFFFFu)
+            << k.name << " kernel, offset " << off << ", length " << len;
     }
   }
+}
+
+TEST(Crc32c, PortableKernelPassesTheKnownAnswerVectors) {
+  EXPECT_EQ(detail::crc32c_portable("123456789"), 0xE3069283u);
+  EXPECT_EQ(detail::crc32c_portable(""), 0x00000000u);
+  EXPECT_EQ(detail::crc32c_portable(std::string(32, '\0')), 0x8A9136AAu);
+  EXPECT_EQ(detail::crc32c_portable(std::string(32, '\xff')), 0x62A8AB43u);
+}
+
+TEST(Crc32c, DispatchesToTheHardwareKernelWhereTheCpuHasIt) {
+  // A dispatch that silently fell back would pass every value check and
+  // only show as a 5x slower store open; pin the choice itself.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  const bool has_sse42 = __builtin_cpu_supports("sse4.2");
+#else
+  const bool has_sse42 = false;
+#endif
+  EXPECT_EQ(std::string(detail::crc32c_kernel_name()),
+            has_sse42 ? "sse4.2" : "portable");
 }
 
 TEST(Crc32c, HexFormatRoundTrips) {

@@ -368,5 +368,37 @@ TEST(TraceStoreCorruption, EverySingleBitFlipIsRejected) {
   std::remove(path.c_str());
 }
 
+TEST(TraceStoreCorruption, BitFlipsInEveryThirdOfALargeBodyAreRejected) {
+  // The battery above uses a 512-byte body, which the hardware CRC kernel
+  // checksums in one stream. A body of 10,000 ops (80,000 bytes) runs
+  // every stage — three 3 x 8192-byte chunks, eight 3 x 256-byte chunks,
+  // then 8-byte words — so a flip in any third of it must still surface
+  // as a body CRC mismatch.
+  const auto path = temp_path("largeflip.reaptrace");
+  const auto ops = sample_packed(10'000);
+  std::string error;
+  ASSERT_TRUE(write_trace_file(path, ops, 20, "mcf/rr-/s0", {}, &error))
+      << error;
+  const auto good = slurp(path);
+  const std::size_t body_bytes = ops.size() * sizeof(std::uint64_t);
+  ASSERT_GE(body_bytes, std::size_t{64} << 10);
+  const std::size_t body_at = good.size() - body_bytes;
+  const std::size_t third = body_bytes / 3;
+  std::mt19937_64 rng(0x7A12D5EE);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t part = static_cast<std::size_t>(trial % 3);
+    const std::size_t byte_at = body_at + part * third + rng() % third;
+    const int bit = static_cast<int>(rng() % 8);
+    auto bytes = good;
+    bytes[byte_at] = static_cast<char>(bytes[byte_at] ^ (1 << bit));
+    spit(path, bytes);
+    EXPECT_NE(open_error(path).find("body CRC mismatch"), std::string::npos)
+        << "flip at body byte " << byte_at - body_at << " bit " << bit;
+  }
+  spit(path, good);
+  EXPECT_NE(MappedTraceFile::open(path, &error), nullptr) << error;
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace reap::trace
