@@ -28,9 +28,14 @@ common::BitVec random_data(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-// CRC32C over `state.range(0)` bytes: a journal row (64 B), a frame
-// batch (64 KiB) and a store body (16 MiB). bytes_per_second is the
-// figure to compare; Dispatched is labelled with the kernel it runs.
+// CRC32C over `state.range(0)` bytes:
+//   64 B    shorter than any three-stream block: the serial tail alone;
+//   875 B   a journal row, and so a dispatcher frame, which wraps one row
+//           (a policy-grid journal's rows are 855-908 B);
+//   64 KiB  two 3 x 8 KiB chunks, then the 3 x 256 B stage and the tail;
+//   16 MiB  a store body (fig5-store's are ~2 MB, full Fig. 5's ~36 MB).
+// bytes_per_second is the figure to compare; Dispatched is labelled with
+// the kernel it runs.
 void crc32c_bench(benchmark::State& state,
                   std::uint32_t (*crc)(std::string_view)) {
   std::string buf(static_cast<std::size_t>(state.range(0)), '\0');
@@ -43,13 +48,21 @@ void crc32c_bench(benchmark::State& state,
 void BM_Crc32cPortable(benchmark::State& state) {
   crc32c_bench(state, common::detail::crc32c_portable);
 }
-BENCHMARK(BM_Crc32cPortable)->Arg(64)->Arg(64 << 10)->Arg(16 << 20);
+BENCHMARK(BM_Crc32cPortable)
+    ->Arg(64)
+    ->Arg(875)
+    ->Arg(64 << 10)
+    ->Arg(16 << 20);
 
 void BM_Crc32cDispatched(benchmark::State& state) {
   crc32c_bench(state, common::crc32c);
   state.SetLabel(common::detail::crc32c_kernel_name());
 }
-BENCHMARK(BM_Crc32cDispatched)->Arg(64)->Arg(64 << 10)->Arg(16 << 20);
+BENCHMARK(BM_Crc32cDispatched)
+    ->Arg(64)
+    ->Arg(875)
+    ->Arg(64 << 10)
+    ->Arg(16 << 20);
 
 void BM_SecDedEncode512(benchmark::State& state) {
   ecc::SecDedCode code(512);

@@ -43,17 +43,19 @@
 namespace reap::campaign {
 
 // The trace-group plan of a point list: the number of distinct trace
-// keys (traces to materialize) and the estimated arena bytes of the
-// largest one. Shared by the reap_campaign and reap_dispatch --dry-run
-// reports so the two plans cannot drift.
+// keys (trace groups, one hierarchy walk each) and the estimated arena
+// bytes of the largest one, about its size as a store file. Shared by
+// the reap_campaign and reap_dispatch --dry-run reports so the two plans
+// cannot drift.
 struct TracePlan {
   std::size_t groups = 0;
   std::size_t largest_bytes = 0;
 };
 TracePlan trace_plan(const std::vector<CampaignPoint>& points);
 
-// Counters are cumulative and readable while the campaign runs (the
-// progress line samples hits/misses); loads are relaxed snapshots.
+// Counters are cumulative and readable while the cache is in use; loads
+// are relaxed snapshots. No CLI reads them: the tests and perfbench's
+// traced harness do.
 struct TraceCacheStats {
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> misses{0};      // includes uncached oversize
