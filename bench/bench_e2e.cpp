@@ -22,6 +22,12 @@
 //                            summed over the five points -- so
 //                            group / replay is the fan-out win over
 //                            replaying the arena once per policy
+//   E2E/hier              -- the hierarchy walk alone over the same
+//                            replayed arena: L1 + L2 with NullHooks, the
+//                            data-value model attached as the L2's ones
+//                            provider exactly as a group's walk rig
+//                            attaches it. replay minus hier is what the
+//                            policy hooks and the ledger cost
 //
 // The replay/simd and group/replay ratios are measured inside one binary
 // (bench_diff.py --gate holds their floors in CI); comparing
@@ -38,6 +44,7 @@
 #include <vector>
 
 #include "reap/core/experiment.hpp"
+#include "reap/trace/datavalue.hpp"
 #include "reap/trace/replay.hpp"
 #include "reap/trace/spec2006.hpp"
 
@@ -100,6 +107,32 @@ void run_e2e_group(benchmark::State& state) {
       state.iterations() * cfgs.size() * cfgs.front().instructions));
 }
 
+// The walk with no observer: warm-up, stats reset, measured window, as
+// run_experiment_group drives it, with the provider attached the same way
+// (block bits, workload seed ^ 0xABCD).
+void run_e2e_hier(benchmark::State& state) {
+  const auto cfg = bench_cfg(core::PolicyKind::conventional_parallel);
+  trace::WorkloadTraceSource gen(cfg.workload);
+  const auto trace = trace::MaterializedTrace::materialize(
+      gen, cfg.warmup_instructions + cfg.instructions);
+  for (auto _ : state) {
+    trace::ReplayTraceSource source(trace);
+    sim::MemoryHierarchy hier(cfg.hierarchy, cfg.seed);
+    const trace::DataValueModel values(cfg.workload.values,
+                                       cfg.hierarchy.l2.block_bytes * 8,
+                                       cfg.workload.seed ^ 0xABCD);
+    hier.set_l2_ones_provider(sim::OnesProvider(values));
+    sim::TraceCpu cpu(source, hier, cfg.clock_ghz);
+    sim::NullHooks hooks;
+    cpu.run_vectorized(cfg.warmup_instructions, hooks);
+    hier.reset_stats();
+    cpu.reset_counters();
+    benchmark::DoNotOptimize(cpu.run_vectorized(cfg.instructions, hooks));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * cfg.instructions));
+}
+
 void register_all() {
   for (const core::PolicyKind policy : core::all_policies()) {
     benchmark::RegisterBenchmark(
@@ -112,6 +145,8 @@ void register_all() {
         ->Unit(benchmark::kMillisecond);
   }
   benchmark::RegisterBenchmark("E2E/group", run_e2e_group)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("E2E/hier", run_e2e_hier)
       ->Unit(benchmark::kMillisecond);
 }
 

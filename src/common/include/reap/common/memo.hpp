@@ -1,5 +1,5 @@
 // Direct-mapped memo for pure uint64-keyed functions on simulator hot
-// paths (binomial tails, per-block ones counts).
+// paths (reliability::UncorrectableModel's binomial tails).
 //
 // Deliberately bounded and collision-evicting: a probe must stay
 // cache-resident — an unbounded table measured slower than recomputing on
@@ -27,20 +27,6 @@ class DirectMappedMemo {
     const std::size_t slot = slot_of(key);
     if (keys_[slot] != key + 1) return nullptr;  // 0 marks an empty slot
     return &values_[slot];
-  }
-
-  // Software-prefetch the slot `key` maps to (both columns), for callers
-  // that know a probe is coming a few operations ahead. A pure latency
-  // hint: no allocation, no contents change.
-  void prefetch(std::uint64_t key) const {
-#if defined(__GNUC__)
-    if (keys_.empty()) return;
-    const std::size_t slot = slot_of(key);
-    __builtin_prefetch(&keys_[slot], /*rw=*/0, /*locality=*/3);
-    __builtin_prefetch(&values_[slot], /*rw=*/0, /*locality=*/3);
-#else
-    (void)key;
-#endif
   }
 
   void insert(std::uint64_t key, const Value& value) {

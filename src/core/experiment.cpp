@@ -99,23 +99,52 @@ struct WalkRig {
   }
 };
 
+// The failure models of a group's observers, one per distinct (p_rd,
+// ecc_t, line bits). Building one evaluates every single-read tail, and a
+// model is memo-transparent and used only on the group's thread, so
+// observers that agree on those three share it (a policy-axis group of
+// five builds one).
+class ModelPool {
+ public:
+  const reliability::UncorrectableModel& get(double p_rd, unsigned t,
+                                             std::uint64_t line_bits) {
+    for (const Entry& e : models_) {
+      if (e.model->p_rd() == p_rd && e.model->t() == t &&
+          e.line_bits == line_bits)
+        return *e.model;
+    }
+    models_.push_back(
+        {std::make_unique<reliability::UncorrectableModel>(p_rd, t, line_bits),
+         line_bits});
+    return *models_.back().model;
+  }
+
+ private:
+  struct Entry {
+    std::unique_ptr<reliability::UncorrectableModel> model;
+    std::uint64_t line_bits;
+  };
+  std::vector<Entry> models_;
+};
+
 // One observer's part of the rig: its line code, device and circuit
-// models, failure ledger and L2 hit latency.
+// models, failure ledger and L2 hit latency, and its (possibly shared)
+// failure model.
 struct ObserverRig {
   std::unique_ptr<ecc::Code> line_code;
   double p_rd;
   double p_wf;
   nvsim::CacheModel circuit;
-  reliability::UncorrectableModel model;
+  const reliability::UncorrectableModel& model;
   reliability::FailureLedger ledger;
   std::uint32_t hit_cycles;
 
-  explicit ObserverRig(const ExperimentConfig& cfg)
+  ObserverRig(const ExperimentConfig& cfg, ModelPool& models)
       : line_code(make_line_code(cfg.hierarchy.l2.block_bytes * 8, cfg.ecc_t)),
         p_rd(mtj::read_disturb_probability(cfg.mtj)),
         p_wf(mtj::write_failure_probability(cfg.mtj)),
         circuit(l2_geometry(cfg), cfg.tech, *line_code, &cfg.mtj),
-        model(p_rd, cfg.ecc_t, cfg.hierarchy.l2.block_bytes * 8),
+        model(models.get(p_rd, cfg.ecc_t, cfg.hierarchy.l2.block_bytes * 8)),
         hit_cycles(l2_hit_cycles_for(cfg.policy, circuit.timing(),
                                      cfg.clock_ghz)) {}
 
@@ -180,6 +209,7 @@ std::vector<ExperimentResult> run_experiment_group(
   }
 
   WalkRig walk(cfgs.front(), source);
+  ModelPool models;
   // Observer rigs are pinned (each policy's context points into its own).
   std::vector<std::unique_ptr<ObserverRig>> rigs;
   std::vector<PolicyObservers::Handle> handles;
@@ -187,7 +217,7 @@ std::vector<ExperimentResult> run_experiment_group(
   rigs.reserve(cfgs.size());
   handles.reserve(cfgs.size());
   for (const ExperimentConfig& cfg : cfgs) {
-    rigs.push_back(std::make_unique<ObserverRig>(cfg));
+    rigs.push_back(std::make_unique<ObserverRig>(cfg, models));
     handles.push_back(observers.add(
         cfg.policy, rigs.back()->context(cfg, walk.hier.l2())));
   }

@@ -77,16 +77,18 @@ class PolicyImplBase {
     ++events_.tag_writes;
   }
 
-  void on_evict(std::size_t line, std::uint32_t ones, bool dirty) {
+  void on_evict(sim::CacheSetView set, std::size_t way, bool dirty) {
     if (!ctx_.check_on_dirty_eviction || !dirty) return;
     // Extension: the victim is read out through the ECC path before its
     // writeback, which both costs a decode and realizes any accumulated
-    // uncorrectable state.
+    // uncorrectable state. Only this check needs the victim's ones count,
+    // so only it looks the count up.
     ++events_.ecc_decodes;
     ++events_.way_data_reads;
+    std::uint32_t& reads = set_reads(set)[way];
     ctx_.ledger->record_unattributed(
-        derived().check_failure(ones, reads_[line]));
-    reads_[line] = 0;
+        derived().check_failure(set.ones(way), reads));
+    reads = 0;
   }
 
  protected:
@@ -414,9 +416,9 @@ class PolicyObservers {
   void on_fill(std::size_t line) {
     each(*this, [&](auto& policy, std::size_t) { policy.on_fill(line); });
   }
-  void on_evict(std::size_t line, std::uint32_t ones, bool dirty) {
+  void on_evict(sim::CacheSetView set, std::size_t way, bool dirty) {
     each(*this, [&](auto& policy, std::size_t) {
-      policy.on_evict(line, ones, dirty);
+      policy.on_evict(set, way, dirty);
     });
   }
   void prefetch(std::size_t base) const {

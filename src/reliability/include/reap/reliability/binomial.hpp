@@ -48,8 +48,9 @@ double p_uncorrectable_block_reap(std::uint64_t n_ones, std::uint64_t n_reads,
 // only input the tail depends on), so the simulator's hot loop pays the
 // log-space tail computation only on a memo miss. The memos never change a
 // returned value -- a collision just recomputes -- so results are identical
-// with or without them. Not thread-safe: use one model per experiment (the
-// campaign runner already does).
+// with or without them. Not thread-safe: a model belongs to one thread.
+// core::run_experiment_group shares one model among the observers of its
+// walk that agree on (p_rd, t, line bits), since they run on its thread.
 class UncorrectableModel {
  public:
   UncorrectableModel(double p_rd, unsigned t, std::uint64_t max_cached_ones);

@@ -7,7 +7,11 @@
 namespace reap::sim {
 
 SetAssocCache::SetAssocCache(CacheConfig cfg, std::uint64_t seed)
-    : cfg_(std::move(cfg)), rng_(seed) {
+    : cfg_(std::move(cfg)),
+      resolver_{OnesProvider::fixed(
+                    static_cast<std::uint32_t>(cfg_.block_bytes * 8 / 2)),
+                0},
+      rng_(seed) {
   REAP_EXPECTS(cfg_.ways >= 1);
   REAP_EXPECTS(std::has_single_bit(cfg_.block_bytes));
   REAP_EXPECTS(cfg_.capacity_bytes % (cfg_.ways * cfg_.block_bytes) == 0);
@@ -16,6 +20,7 @@ SetAssocCache::SetAssocCache(CacheConfig cfg, std::uint64_t seed)
   stride_ = simd::padded_ways(cfg_.ways);
   offset_bits_ = static_cast<unsigned>(std::countr_zero(cfg_.block_bytes));
   index_bits_ = static_cast<unsigned>(std::countr_zero(sets_));
+  resolver_.tag_shift = offset_bits_ + index_bits_;
   // Hot columns: 64 B-aligned, stride padded to the vector width, zeroed
   // (zero = invalid tagv / no ones) -- see the layout note up top.
   tags_ = simd::AlignedVec<std::uint64_t>(sets_ * stride_);
@@ -29,11 +34,10 @@ SetAssocCache::SetAssocCache(CacheConfig cfg, std::uint64_t seed)
       lru_[s * stride_ + w] = simd::kLruPad;
   }
   state_.resize(sets_ * stride_);
-  default_ones_ = static_cast<std::uint32_t>(cfg_.block_bytes * 8 / 2);
 }
 
 SetAssocCache::LineInfo SetAssocCache::line_info(std::size_t set,
-                                                 std::size_t way) const {
+                                                 std::size_t way) {
   REAP_EXPECTS(set < sets_);
   REAP_EXPECTS(way < cfg_.ways);
   const std::size_t idx = set * stride_ + way;
@@ -41,7 +45,7 @@ SetAssocCache::LineInfo SetAssocCache::line_info(std::size_t set,
   info.valid = state_[idx].valid;
   info.dirty = state_[idx].dirty;
   info.tag = tags_[idx] >> 1;
-  info.ones = ones_[idx];
+  info.ones = info.valid ? view_of(set).ones(way) : ones_[idx];
   info.lru_stamp = lru_[idx];
   info.fill_stamp = state_[idx].fill_stamp;
   return info;

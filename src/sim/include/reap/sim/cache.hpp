@@ -10,7 +10,11 @@
 //   tags_  -- dense (tag << 1 | valid) uint64 column; the only data
 //             find_way scans (one 64B host cache line covers an 8-way set)
 //   ones_  -- uint32 popcount of each line's stored payload, the
-//             reliability input every policy reads on a check
+//             reliability input every policy reads on a check. Resolved
+//             at first check, not at fill: a fill stores kOnesUnresolved
+//             and the first reader (CacheSetView::ones, line_info) asks
+//             the OnesProvider and writes the count back. Most filled
+//             lines are evicted unchecked, so most never pay for a draw
 //   lru_   -- lru-stamp uint64 column: written on every hit (the LRU
 //             touch) and min-scanned on every fill (the victim pick)
 //   state_ -- LineState {valid, dirty, fill stamp}, touched only on
@@ -59,19 +63,72 @@ struct LineState {
   std::uint64_t fill_stamp = 0;
 };
 
+// Ones-count source for cache lines. A concrete type (not a type-erased
+// std::function) so a lookup is a predictable branch plus a direct call:
+// either a DataValueModel, a fixed count for tests, or the cache's default
+// (half the block bits).
+//
+// Contract: a provider is a pure function of the address -- the same line
+// address always yields the same count (what makes experiments
+// reproducible from a seed). The cache relies on this twice: it looks a
+// line's count up at its first check rather than at fill, and a write hit
+// keeps the installed count instead of re-deriving it; either way the
+// lookup could only return the same value.
+class OnesProvider {
+ public:
+  explicit OnesProvider(const trace::DataValueModel& model) : model_(&model) {}
+
+  static OnesProvider fixed(std::uint32_t ones) { return OnesProvider(ones); }
+
+  std::uint32_t ones_for(std::uint64_t addr) const {
+    return model_ ? model_->ones_for(addr) : fixed_;
+  }
+
+ private:
+  explicit OnesProvider(std::uint32_t ones) : fixed_(ones) {}
+
+  const trace::DataValueModel* model_ = nullptr;
+  std::uint32_t fixed_ = 0;
+};
+
+// The ones entry of a valid line whose count nobody has read yet.
+inline constexpr std::uint32_t kOnesUnresolved = ~std::uint32_t{0};
+
+// How a cache turns a kOnesUnresolved entry into the line's count: the
+// line's address, rebuilt from its tag column entry and its set's address
+// bits, through the provider.
+struct OnesResolver {
+  OnesProvider provider;
+  unsigned tag_shift;  // offset bits + index bits
+
+  std::uint32_t resolve(std::uint64_t tagv, std::uint64_t set_addr) const {
+    return provider.ones_for(((tagv >> 1) << tag_shift) | set_addr);
+  }
+};
+
 // One set's SoA columns, as handed to the policy hooks: the tag|valid and
-// ones columns (read-only) and the set's base line index, which locates
-// the set in every observer-owned column (an observer's reads_since_check
-// for way w is column[base() + w]). `padded` says the columns -- the
-// cache's and, by the observer-column contract, the observer's -- are
-// readable/writable up to simd::padded_ways(ways) entries with zeroed
-// padding: true for views the cache builds over its own columns, false
-// for views tests construct over raw arrays.
+// ones columns and the set's base line index, which locates the set in
+// every observer-owned column (an observer's reads_since_check for way w
+// is column[base() + w]). `padded` says the columns -- the cache's and, by
+// the observer-column contract, the observer's -- are readable/writable up
+// to simd::padded_ways(ways) entries with zeroed padding: true for views
+// the cache builds over its own columns, false for views tests construct
+// over raw arrays. A cache-built view also carries the cache's resolver,
+// so ones(w) can resolve a line's count on first read; a test-built view
+// has none and its ones entries must all be resolved.
 class CacheSetView {
  public:
-  CacheSetView(const std::uint64_t* tagv, const std::uint32_t* ones,
-               std::size_t ways, std::size_t base = 0, bool padded = false)
-      : tagv_(tagv), ones_(ones), ways_(ways), base_(base), padded_(padded) {}
+  CacheSetView(const std::uint64_t* tagv, std::uint32_t* ones,
+               std::size_t ways, std::size_t base = 0, bool padded = false,
+               const OnesResolver* resolver = nullptr,
+               std::uint64_t set_addr = 0)
+      : tagv_(tagv),
+        ones_(ones),
+        ways_(ways),
+        base_(base),
+        padded_(padded),
+        resolver_(resolver),
+        set_addr_(set_addr) {}
 
   std::size_t size() const { return ways_; }
   std::size_t base() const { return base_; }
@@ -81,7 +138,13 @@ class CacheSetView {
   std::uint32_t valid_bit(std::size_t way) const {
     return static_cast<std::uint32_t>(tagv_[way] & 1);
   }
-  std::uint32_t ones(std::size_t way) const { return ones_[way]; }
+  // The payload popcount of valid way `way`, looked up through the cache's
+  // provider on the line's first read and cached in the column after.
+  std::uint32_t ones(std::size_t way) const {
+    if (ones_[way] == kOnesUnresolved)
+      ones_[way] = resolver_->resolve(tagv_[way], set_addr_);
+    return ones_[way];
+  }
 
   // The policies' shared accumulation walk, whole set per vector:
   // reads[w] += valid_bit(w) for every way, where `reads` is this set's
@@ -98,10 +161,12 @@ class CacheSetView {
 
  private:
   const std::uint64_t* tagv_;
-  const std::uint32_t* ones_;
+  std::uint32_t* ones_;
   std::size_t ways_;
   std::size_t base_;
   bool padded_;
+  const OnesResolver* resolver_;
+  std::uint64_t set_addr_;  // the set index bits of every line's address
 };
 
 // The classic replacement policies. Each picks its victim from state the
@@ -136,57 +201,19 @@ struct NullHooks {
   // not read the data ways, so they cause no concealed reads.
   void on_write_lookup(CacheSetView, int) {}
 
-  // The line at index `line` (set_base(set) + way) was just filled (ones
-  // already set).
+  // The line at index `line` (set_base(set) + way) was just filled. Its
+  // ones count is not looked up yet (see CacheSetView::ones).
   void on_fill(std::size_t) {}
 
-  // The (still valid) line at index `line`, holding `ones` set bits, is
-  // about to be evicted.
-  void on_evict(std::size_t, std::uint32_t, bool) {}
+  // Way `way` of this set, still valid and dirty or not, is about to be
+  // evicted. The view is the whole set, so a hook that needs the victim's
+  // count reads set.ones(way) -- and only such a hook pays the lookup.
+  void on_evict(CacheSetView, std::size_t, bool) {}
 
   // Software-prefetch the hooks' own per-line state for the set at line
   // index `base` (the drive loop calls it alongside the cache's
   // prefetch_set). A hint only.
   void prefetch(std::size_t) const {}
-};
-
-// Ones-count source for filled lines. A concrete type (not a type-erased
-// std::function) so the fill path is a predictable branch plus a direct
-// call: either a DataValueModel, a fixed count for tests, or the cache's
-// default (half the block bits).
-//
-// Contract: a provider is a pure function of the address -- the same line
-// address always yields the same count (what makes experiments
-// reproducible from a seed). The cache relies on this: a write hit keeps
-// the count installed at fill instead of re-deriving it, because the
-// re-derivation could only return the same value.
-class OnesProvider {
- public:
-  OnesProvider() = default;
-  explicit OnesProvider(const trace::DataValueModel& model) : model_(&model) {}
-
-  static OnesProvider fixed(std::uint32_t ones) {
-    OnesProvider p;
-    p.fixed_ = ones;
-    p.has_fixed_ = true;
-    return p;
-  }
-
-  std::uint32_t ones_for(std::uint64_t addr, std::uint32_t fallback) const {
-    if (model_) return model_->ones_for(addr);
-    return has_fixed_ ? fixed_ : fallback;
-  }
-
-  // Software-prefetch whatever ones_for(addr, ...) would probe (the
-  // model's memo slot); a no-op for fixed/default providers.
-  void prefetch(std::uint64_t addr) const {
-    if (model_) model_->prefetch(addr);
-  }
-
- private:
-  const trace::DataValueModel* model_ = nullptr;
-  std::uint32_t fixed_ = 0;
-  bool has_fixed_ = false;
 };
 
 struct CacheStats {
@@ -214,9 +241,12 @@ class SetAssocCache {
   const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  // Ones-count provider for filled/rewritten lines; default keeps ones at
-  // half the block bits.
-  void set_ones_provider(OnesProvider provider) { provider_ = provider; }
+  // Ones-count provider for this cache's lines; default keeps ones at half
+  // the block bits. Set it before the walk: a line's count is looked up
+  // at its first read, through the provider set then.
+  void set_ones_provider(OnesProvider provider) {
+    resolver_.provider = provider;
+  }
 
   // Length of a per-line column laid out like this cache's (sets x the
   // padded per-set stride): what an observer allocates for its own
@@ -251,11 +281,10 @@ class SetAssocCache {
   }
 
   // Write lookup. On a hit the line is rewritten in place (dirty; the
-  // observers clear their accumulation in on_write_lookup). The installed
-  // ones count is kept: providers
-  // are address-deterministic (the OnesProvider contract), so re-deriving
-  // it for the same line is the same value -- the hot path skips the
-  // probe. Returns hit.
+  // observers clear their accumulation in on_write_lookup). The ones entry
+  // is kept, resolved or not: providers are address-deterministic (the
+  // OnesProvider contract), so re-deriving it for the same line is the
+  // same value. Returns hit.
   template <class Hooks>
   bool write(std::uint64_t addr, Hooks& hooks) {
     const std::size_t set = set_of(addr);
@@ -283,7 +312,7 @@ class SetAssocCache {
     const std::size_t idx = set * stride_ + w;
     LineState& st = state_[idx];
     if (st.valid) {
-      hooks.on_evict(idx, ones_[idx], st.dirty);
+      hooks.on_evict(view_of(set), w, st.dirty);
       ev.any = true;
       ev.dirty = st.dirty;
       ev.addr = line_addr(tags_[idx] >> 1, set);
@@ -293,7 +322,7 @@ class SetAssocCache {
     tags_[idx] = (tag << 1) | 1;
     st.valid = true;
     st.dirty = dirty;
-    ones_[idx] = provider_.ones_for(addr, default_ones_);
+    ones_[idx] = kOnesUnresolved;  // looked up by its first reader
     st.fill_stamp = ++clock_;
     lru_[idx] = clock_;
     ++stats_.fills;
@@ -309,7 +338,8 @@ class SetAssocCache {
   // Invalidates addr's block if present; returns whether it was dirty.
   bool invalidate(std::uint64_t addr);
 
-  // Snapshot of one line for tests and diagnostics.
+  // Snapshot of one line for tests and diagnostics. Resolves a valid
+  // line's ones count, like a check would.
   struct LineInfo {
     bool valid = false;
     bool dirty = false;
@@ -318,7 +348,7 @@ class SetAssocCache {
     std::uint64_t lru_stamp = 0;
     std::uint64_t fill_stamp = 0;
   };
-  LineInfo line_info(std::size_t set, std::size_t way) const;
+  LineInfo line_info(std::size_t set, std::size_t way);
 
   std::size_t set_of(std::uint64_t addr) const {
     return (addr >> offset_bits_) & (sets_ - 1);
@@ -352,16 +382,11 @@ class SetAssocCache {
     simd::prefetch(&lru_[base]);
   }
 
-  // Software-prefetch the ones-memo slot that filling/rewriting addr's
-  // block would probe (the data-value model's table is far larger than
-  // the set columns, and a low-locality op stream misses it constantly).
-  // Hint only, like prefetch_set.
-  void prefetch_ones(std::uint64_t addr) const { provider_.prefetch(addr); }
-
  private:
   CacheSetView view_of(std::size_t set) {
     const std::size_t base = set * stride_;
-    return {&tags_[base], &ones_[base], cfg_.ways, base, /*padded=*/true};
+    return {&tags_[base], &ones_[base], cfg_.ways, base, /*padded=*/true,
+            &resolver_, static_cast<std::uint64_t>(set) << offset_bits_};
   }
 
   int find_way(std::size_t set, std::uint64_t tagv) const {
@@ -402,12 +427,11 @@ class SetAssocCache {
   unsigned offset_bits_;
   unsigned index_bits_;
   simd::AlignedVec<std::uint64_t> tags_;  // dense (tag << 1) | valid column
-  simd::AlignedVec<std::uint32_t> ones_;  // hot payload-popcount column
+  simd::AlignedVec<std::uint32_t> ones_;  // payload popcounts, lazily resolved
   simd::AlignedVec<std::uint64_t> lru_;   // hot lru-stamp column
   std::vector<LineState> state_;          // cold valid/dirty/fifo column
   CacheStats stats_;
-  OnesProvider provider_;
-  std::uint32_t default_ones_ = 0;
+  OnesResolver resolver_;
   std::uint64_t clock_ = 0;
   common::Rng rng_;
 };

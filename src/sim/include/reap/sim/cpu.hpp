@@ -31,10 +31,12 @@ class TraceCpu {
   // Ops pulled per TraceSource::next_batch call.
   static constexpr std::size_t kBatchOps = 4096;
 
-  // How many ops ahead the loop prefetches the L2 set columns.
-  // Far enough that the lines arrive before the op needs them (several
-  // ops' worth of simulation work), near enough that they are not evicted
-  // again in between.
+  // How many ops ahead the loop prefetches the L2 set columns (tags, ones,
+  // lru) and the hooks' columns for that set -- all the per-op state there
+  // is: a fill does not look up the line's ones count (its first check
+  // does, from the ones column). Far enough that the lines arrive before
+  // the op needs them (several ops' worth of simulation work), near
+  // enough that they are not evicted again in between.
   static constexpr std::size_t kPrefetchAhead = 8;
 
   // Executes up to `max_instructions`; stops early at end of trace.
@@ -63,12 +65,11 @@ class TraceCpu {
                         l2.index_bits(), pre_set_.data(), pre_tagv_.data());
       }
       // Pull the metadata an op will touch kPrefetchAhead ops from now --
-      // its L2 set columns, the hooks' own columns for that set and its
-      // block's ones-memo slot; the intervening (independent) ops hide
-      // the miss latency.
+      // its L2 set columns and the hooks' own columns for that set; the
+      // intervening (independent) ops hide the miss latency.
       if (buf_pos_ + kPrefetchAhead < buf_len_) {
         const std::size_t ahead = buf_pos_ + kPrefetchAhead;
-        mem_.prefetch_l2(pre_set_[ahead], buf_[ahead].addr);
+        mem_.prefetch_l2(pre_set_[ahead]);
         l2_hooks.prefetch(l2.set_base(pre_set_[ahead]));
       }
       const trace::MemOp op = buf_[buf_pos_];

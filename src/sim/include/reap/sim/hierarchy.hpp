@@ -111,14 +111,10 @@ class MemoryHierarchy {
     return store(addr, l2_hooks, hint_of(addr));
   }
 
-  // Prefetch the L2-side state an upcoming op may touch (from the batch
-  // pre-decode): the set's metadata columns and the ones-memo slot the
-  // op's block maps to (the fill path probes it on every L2 miss and
-  // write hit). Pure latency hints, no semantic effect.
-  void prefetch_l2(std::size_t set, std::uint64_t addr) const {
-    l2_.prefetch_set(set);
-    l2_.prefetch_ones(addr);
-  }
+  // Prefetch the L2 set an upcoming op will look up (from the batch
+  // pre-decode): its tag, ones and lru columns. A pure latency hint, no
+  // semantic effect.
+  void prefetch_l2(std::size_t set) const { l2_.prefetch_set(set); }
 
   HierarchyStats stats() const;
   void reset_stats();

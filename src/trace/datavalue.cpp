@@ -28,11 +28,7 @@ std::uint32_t DataValueModel::compute_ones(std::uint64_t block) const {
 }
 
 std::uint32_t DataValueModel::ones_for(std::uint64_t line_addr) const {
-  const std::uint64_t block = line_addr >> 6;
-  if (const std::uint32_t* hit = memo_.find(block)) return *hit;
-  const std::uint32_t ones = compute_ones(block);
-  memo_.insert(block, ones);
-  return ones;
+  return compute_ones(line_addr >> 6);
 }
 
 common::BitVec DataValueModel::payload_for(std::uint64_t line_addr) const {

@@ -7,12 +7,15 @@
 // address always maps to the same count for reproducibility. It can also
 // materialize a concrete payload with that popcount for the Monte Carlo
 // engine, which runs real codecs on real bits.
+//
+// The model is stateless after construction: every query is a fresh draw
+// from an address-seeded Rng, so one model is safe to share across
+// threads.
 #pragma once
 
 #include <cstdint>
 
 #include "reap/common/bitvec.hpp"
-#include "reap/common/memo.hpp"
 
 namespace reap::trace {
 
@@ -31,19 +34,11 @@ class DataValueModel {
   std::uint64_t line_bits() const { return line_bits_; }
 
   // Deterministic ones-count for the line containing `line_addr`
-  // (block-aligned or not; the low 6 bits are ignored for 64B lines).
-  // Sits on the simulator's L2 fill path, so a direct-mapped memo caches
-  // the count per block; the draw is a pure function of the address, so
-  // memoization (and collisions, which just recompute) cannot change any
-  // returned value. Not thread-safe: use one model per experiment.
+  // (block-aligned or not; the low 6 bits are ignored for 64B lines): a
+  // pure function of the address. The simulator's L2 asks once per line
+  // it ECC-checks, at the first check (sim::CacheSetView::ones), not per
+  // fill, so the draw is not memoized.
   std::uint32_t ones_for(std::uint64_t line_addr) const;
-
-  // Software-prefetch the memo slot ones_for(line_addr) would probe; the
-  // vectorized drive loop issues this a few ops ahead of the access. Pure
-  // latency hint, no semantic effect.
-  void prefetch(std::uint64_t line_addr) const {
-    memo_.prefetch(line_addr >> 6);
-  }
 
   // A concrete payload whose popcount equals ones_for(line_addr); bit
   // positions are deterministic in the address too.
@@ -55,9 +50,6 @@ class DataValueModel {
   OnesDensitySpec spec_;
   std::uint64_t line_bits_;
   std::uint64_t seed_;
-  // Per-block memo (bounded at 768KB — see memo.hpp for why it must stay
-  // cache-resident rather than grow with the footprint).
-  mutable common::DirectMappedMemo<std::uint32_t, 1 << 16> memo_;
 };
 
 }  // namespace reap::trace

@@ -287,7 +287,7 @@ TEST_F(PolicyFixture, FillCountsAsWrite) {
 TEST_F(PolicyFixture, EvictionCheckOffByDefault) {
   ConventionalPolicyImpl p(ctx_);
   p.reads_since_check(0) = 100;
-  p.on_evict(0, ones_[0], /*dirty=*/true);
+  p.on_evict(ways(), 0, /*dirty=*/true);
   EXPECT_EQ(ledger_.checks(), 0u);
   EXPECT_EQ(p.events().ecc_decodes, 0u);
 }
@@ -296,13 +296,13 @@ TEST_F(PolicyFixture, EvictionCheckExtensionChargesDirtyVictims) {
   ctx_.check_on_dirty_eviction = true;
   ConventionalPolicyImpl p(ctx_);
   p.reads_since_check(0) = 99;
-  p.on_evict(0, ones_[0], /*dirty=*/true);
+  p.on_evict(ways(), 0, /*dirty=*/true);
   EXPECT_EQ(ledger_.checks(), 1u);
   EXPECT_NEAR(ledger_.total_failure_prob(),
               reliability::p_uncorrectable_block_acc(100, 100, kPrd), 1e-18);
   EXPECT_EQ(p.reads_since_check(0), 0u);
   // Clean victims stay free.
-  p.on_evict(1, ones_[1], /*dirty=*/false);
+  p.on_evict(ways(), 1, /*dirty=*/false);
   EXPECT_EQ(ledger_.checks(), 1u);
 }
 

@@ -112,9 +112,9 @@ TEST(Cache, WriteHitDirtiesClearsAccumulationAndKeepsOnes) {
   EXPECT_FALSE(c.line_info(0, 0).dirty);
 
   // Providers are address-deterministic (the OnesProvider contract), so a
-  // write hit keeps the count installed at fill rather than re-deriving
-  // the same value -- even across a mid-run provider swap, which real
-  // experiments never do.
+  // write hit keeps the count the line holds (looked up by the first
+  // line_info above) rather than re-deriving the same value -- even across
+  // a mid-run provider swap, which real experiments never do.
   c.set_ones_provider(OnesProvider::fixed(200));
   EXPECT_TRUE(c.write(mk_addr(1, 0), none));
   EXPECT_TRUE(c.line_info(0, 0).dirty);
@@ -128,6 +128,19 @@ TEST(Cache, WriteHitDirtiesClearsAccumulationAndKeepsOnes) {
   c.invalidate(mk_addr(1, 0));
   c.fill(mk_addr(1, 0), false, none);
   EXPECT_EQ(c.line_info(0, 0).ones, 200u);
+}
+
+// A fill does not look the line's ones count up; its first reader does,
+// through the provider set at that time.
+TEST(Cache, OnesLookedUpAtFirstReadNotAtFill) {
+  SetAssocCache c(small_cfg());
+  c.set_ones_provider(OnesProvider::fixed(100));
+  c.fill(mk_addr(1, 0), false, none);
+  c.set_ones_provider(OnesProvider::fixed(200));
+  EXPECT_EQ(c.line_info(0, 0).ones, 200u);
+  c.set_ones_provider(OnesProvider::fixed(300));
+  EXPECT_EQ(c.line_info(0, 0).ones, 200u);  // resolved once, then kept
+  EXPECT_EQ(c.line_info(1, 0).ones, 0u);    // never filled
 }
 
 TEST(Cache, WriteMissDoesNotAllocate) {
@@ -164,9 +177,9 @@ struct RecordingHooks {
     last_hit = hit_way;
   }
   void on_fill(std::size_t) { ++fills; }
-  void on_evict(std::size_t, std::uint32_t ones, bool dirty) {
+  void on_evict(CacheSetView set, std::size_t way, bool dirty) {
     ++evicts;
-    last_evicted_ones = ones;
+    last_evicted_ones = set.ones(way);
     last_evicted_dirty = dirty;
   }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "reap/trace/datavalue.hpp"
+#include "reap/trace/spec2006.hpp"
 #include "reap/trace/trace_io.hpp"
+#include "reap/trace/workload.hpp"
 
 namespace reap::sim {
 namespace {
@@ -222,6 +225,59 @@ TEST(TraceCpu, SlicedRunsEqualOneUninterruptedRun) {
   }
   EXPECT_EQ(done_a, done_b);
   expect_same_run(cpu_a, mem_a, cpu_b, mem_b);
+}
+
+// L2 hooks that, when `checking`, read a line's ones count where a
+// checking policy would: the hit way of a read lookup and a dirty victim.
+// So a checking walk leaves the ones column mixed -- lines resolved by a
+// check, lines never read -- and a non-checking walk leaves every line
+// unread.
+struct CheckingHooks : NullHooks {
+  void on_read_lookup(CacheSetView set, int hit_way) {
+    if (checking && hit_way >= 0)
+      sum += set.ones(static_cast<std::size_t>(hit_way));
+  }
+  void on_evict(CacheSetView set, std::size_t way, bool dirty) {
+    if (checking && dirty) sum += set.ones(way);
+  }
+  bool checking = false;
+  std::uint64_t sum = 0;
+};
+
+// A line's ones count is looked up at its first read, not at fill; what
+// any reader sees must still be exactly the data-value model's count for
+// the line's address, whether a check resolved it during the walk or the
+// snapshot resolves it now.
+TEST(TraceCpu, LazyOnesMatchTheDataValueModel) {
+  auto profile = *trace::spec2006_profile("mcf");
+  HierarchyConfig cfg;
+  cfg.l2 = {.name = "L2", .capacity_bytes = 16 * 1024, .ways = 8,
+            .block_bytes = 64};
+  for (const bool checking : {false, true}) {
+    SCOPED_TRACE(checking ? "checking hooks" : "no reads");
+    MemoryHierarchy mem(cfg, 7);
+    const trace::DataValueModel model(profile.values, 512, 0xABCD);
+    mem.set_l2_ones_provider(OnesProvider(model));
+    trace::WorkloadTraceSource src(profile);
+    TraceCpu cpu(src, mem);
+    CheckingHooks hooks;
+    hooks.checking = checking;
+    cpu.run_vectorized(60'000, hooks);
+    EXPECT_EQ(hooks.sum > 0, checking);
+    SetAssocCache& l2 = mem.l2();
+    ASSERT_GT(l2.stats().evictions, l2.lines());  // long enough to evict
+    std::size_t valid = 0;
+    for (std::size_t set = 0; set < l2.config().sets(); ++set) {
+      for (std::size_t way = 0; way < l2.config().ways; ++way) {
+        const auto line = l2.line_info(set, way);
+        if (!line.valid) continue;
+        ++valid;
+        EXPECT_EQ(line.ones, model.ones_for(l2.line_addr(line.tag, set)))
+            << "set " << set << " way " << way;
+      }
+    }
+    EXPECT_EQ(valid, l2.config().sets() * l2.config().ways);
+  }
 }
 
 }  // namespace
